@@ -9,6 +9,7 @@ re-seeded with exactly its assigned caches.
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.core import IaaSCluster, Squirrel
 from repro.placement import (
     PEER_REDIRECT_PURPOSE,
@@ -18,6 +19,7 @@ from repro.placement import (
     build_coordinator,
     zipf_weights,
 )
+from repro.shard import ShardRouter, build_plan
 from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
 
 SCALE = 1 / 1024
@@ -260,3 +262,11 @@ class TestReseed:
         assert not outsider.ccvolume.has_file(
             squirrel.cache_file_of(spec.image_id)
         )
+
+
+class TestShardingGuard:
+    def test_sharding_and_placement_cannot_combine(self, dataset):
+        squirrel = make_rig(dataset)
+        plan = build_plan(dataset.images[:N_IMAGES], 2, "similarity")
+        with pytest.raises(ConfigError, match="cannot be combined"):
+            ShardRouter(plan).install(squirrel)
