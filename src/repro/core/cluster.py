@@ -38,8 +38,6 @@ class ComputeNode:
     node: Node
     replica: Replica
     online: bool = True
-    #: name of the newest scVolume snapshot this node has received
-    synced_snapshot: str | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.replica, ZPool):

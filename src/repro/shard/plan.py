@@ -14,14 +14,14 @@ Two grouping modes:
   the shard count.
 
 ``shards=1`` always yields the trivial plan (every image in ``s00``),
-which the router maps onto the pool's existing global dedup domain.
+which the cVolume maps onto the pool's existing global dedup domain.
+:class:`ShardPlan` itself lives in :mod:`repro.core.cvolume`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..common.errors import ConfigError
+from ..core.cvolume import ShardPlan, shard_name
 from ..vmi.image import ImageSpec
 from .similarity import hoard_grains, weight
 
@@ -33,47 +33,6 @@ GROUPING_MODES = ("similarity", "tenant")
 #: (~0.1-0.2), below same-family cross-release weights scaled by
 #: ``family_share`` (~0.4+), so families cluster and strangers don't
 DEFAULT_THRESHOLD = 0.3
-
-
-def shard_name(index: int) -> str:
-    return f"s{index:02d}"
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """An immutable image → shard assignment."""
-
-    mode: str
-    names: tuple[str, ...]
-    assignment: dict[int, str] = field(default_factory=dict)
-    threshold: float = 0.0
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.names)
-
-    def shard_of(self, image_id: int) -> str:
-        shard = self.assignment.get(image_id)
-        if shard is None:
-            # images outside the planned catalogue slice still need a
-            # deterministic home (e.g. late registrations)
-            shard = self.names[image_id % len(self.names)]
-        return shard
-
-    def members(self, shard: str) -> list[int]:
-        return sorted(i for i, s in self.assignment.items() if s == shard)
-
-    def to_dict(self) -> dict:
-        groups = {
-            shard: len(self.members(shard)) for shard in self.names
-        }
-        return {
-            "mode": self.mode,
-            "threshold": self.threshold,
-            "shards": list(self.names),
-            "images": len(self.assignment),
-            "group_sizes": groups,
-        }
 
 
 def _similarity_groups(
