@@ -1,14 +1,11 @@
-"""Event-core benchmark: events/second, heap vs calendar queue.
+"""Event-core benchmark: events/second of the engine's heap queue.
 
 Two measurements, both deterministic workloads:
 
-* raw queue throughput — push/pop a pre-generated schedule through each
-  :class:`~repro.sim.EventQueue` implementation alone;
+* raw queue throughput — push/pop a pre-generated schedule through the
+  :class:`~repro.sim.HeapEventQueue` alone, asserting the total order;
 * engine throughput — a contended mini-cluster (pipes + resources +
-  same-instant collisions) driven end-to-end through :class:`Engine`
-  under each queue kind, with the byte-identity of the two traces
-  asserted as part of the bench (the fast core is only fast if it is
-  also *right*).
+  same-instant collisions) driven end-to-end through :class:`Engine`.
 
 The rendering lands in ``benchmarks/results/kernel.txt`` and the raw
 numbers in ``BENCH_kernel.json`` at the repo root, which is what CI
@@ -24,7 +21,7 @@ import time
 import numpy as np
 
 from repro.obs import runtime as obs_runtime
-from repro.sim import Engine, Pipe, Resource, make_queue, QUEUE_KINDS
+from repro.sim import Engine, HeapEventQueue, Pipe, Resource
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -46,8 +43,8 @@ def _schedule(n: int) -> list[tuple]:
     ]
 
 
-def _raw_queue_rate(kind: str, entries: list[tuple]) -> float:
-    queue = make_queue(kind)
+def _raw_queue_rate(entries: list[tuple]) -> float:
+    queue = HeapEventQueue()
     started = time.perf_counter()
     for entry in entries:
         queue.push(entry)
@@ -55,16 +52,16 @@ def _raw_queue_rate(kind: str, entries: list[tuple]) -> float:
     while len(queue):
         drained.append(queue.pop())
     elapsed = time.perf_counter() - started
-    assert drained == sorted(entries), f"{kind} queue broke the total order"
+    assert drained == sorted(entries), "heap queue broke the total order"
     return 2 * len(entries) / elapsed  # one push + one pop per entry
 
 
-def _engine_run(kind: str) -> tuple[float, int, list]:
+def _engine_run() -> tuple[float, int]:
     # the runtime profiler does the measuring: the engine reports its own
     # wall time and exact processed-event count through the observer hooks
     profiler = obs_runtime.RuntimeProfiler()
     with obs_runtime.profiled(profiler):
-        engine = Engine(seed=3, queue=kind)
+        engine = Engine(seed=3)
         obs_runtime.attach(engine)
         pipe = Pipe(engine, 1e6, name="link")
         cores = Resource(engine, capacity=4, name="cores")
@@ -82,9 +79,10 @@ def _engine_run(kind: str) -> tuple[float, int, list]:
 
         for i in range(N_VMS):
             engine.process(vm(i), label=f"vm:{i}")
-        horizon = engine.run()
+        engine.run()
+    assert counted == N_VMS * N_OPS
     stats = profiler.engine_stats()
-    return stats["wall_s"], int(stats["events"]), [horizon, counted]
+    return stats["wall_s"], int(stats["events"])
 
 
 def test_kernel_events_per_second(benchmark, record_result):
@@ -94,37 +92,25 @@ def test_kernel_events_per_second(benchmark, record_result):
 
     def run():
         started = time.perf_counter()
-        result = {}
-        for kind in QUEUE_KINDS:
-            raw = _raw_queue_rate(kind, entries)
-            elapsed, events, digest = _engine_run(kind)
-            result[kind] = {
-                "raw_queue_ops_per_s": raw,
-                "engine_events_per_s": events / elapsed,
-                "engine_elapsed_s": elapsed,
-                "engine_events": events,
-                "digest": digest,
-            }
+        raw = _raw_queue_rate(entries)
+        elapsed, events = _engine_run()
         wall["s"] = time.perf_counter() - started
-        return result
+        return {
+            "raw_queue_ops_per_s": raw,
+            "engine_events_per_s": events / elapsed,
+            "engine_elapsed_s": elapsed,
+            "engine_events": events,
+        }
 
-    result = benchmark.pedantic(run, rounds=1)
-    digests = {kind: result[kind].pop("digest") for kind in result}
-    assert digests["heap"] == digests["calendar"], (
-        "queue kinds diverged: " + repr(digests)
-    )
+    row = benchmark.pedantic(run, rounds=1)
 
     lines = [
-        "Simulation kernel: events/second by queue implementation",
+        "Simulation kernel: events/second of the heap event queue",
         "-" * 56,
         f"{'queue':>10s}  {'raw ops/s':>12s}  {'engine ev/s':>12s}",
+        f"{'heap':>10s}  {row['raw_queue_ops_per_s']:>12.0f}  "
+        f"{row['engine_events_per_s']:>12.0f}",
     ]
-    for kind in QUEUE_KINDS:
-        row = result[kind]
-        lines.append(
-            f"{kind:>10s}  {row['raw_queue_ops_per_s']:>12.0f}  "
-            f"{row['engine_events_per_s']:>12.0f}"
-        )
     lines.append(
         f"(workload: {N_SCHEDULE} scheduled entries raw; "
         f"{N_VMS} VMs x {N_OPS} contended ops through the engine)"
@@ -138,7 +124,7 @@ def test_kernel_events_per_second(benchmark, record_result):
             "engine_vms": N_VMS,
             "engine_ops_per_vm": N_OPS,
         },
-        "queues": result,
+        "queues": {"heap": row},
         # host-side runtime telemetry: machine-dependent, so the CI perf
         # gate diffs only the throughput metrics (--metric per_s)
         "runtime": {

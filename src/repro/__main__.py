@@ -721,8 +721,20 @@ def _trace_command(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: dispatch to list/run/sweep/metrics/slo/trace."""
+    """CLI entry point: dispatch to list/run/sweep/metrics/slo/trace.
+
+    A :class:`ConfigError` raised while a command runs (e.g. a storm with
+    zero nodes) prints a one-line ``error: ...`` and exits 2, like an
+    argparse usage error."""
     argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        return _dispatch(argv)
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(argv: list[str]) -> int:
     if argv and argv[0] == "list":
         return _list_experiments()
     if argv and argv[0] == "sweep":

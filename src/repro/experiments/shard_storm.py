@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..common.errors import ConfigError
 from ..common.report import ReportBase
 from ..common.units import GiB
 from ..faults import FaultPlan
@@ -55,6 +56,18 @@ SHARD_METRICS = (
 )
 
 
+def _check_shards(shards: int) -> None:
+    if shards < 1:
+        raise ConfigError(f"param 'shards': need at least 1, got {shards}")
+
+
+def _check_quota(quota_mb: int) -> None:
+    if quota_mb < 0:
+        raise ConfigError(
+            f"param 'quota_mb': must be >= 0 (0 = no quota), got {quota_mb}"
+        )
+
+
 def shard_params() -> tuple[ParamSpec, ...]:
     """The shards experiment's declarative parameters."""
     return (
@@ -62,7 +75,7 @@ def shard_params() -> tuple[ParamSpec, ...]:
             "shards", int, 4,
             "cVolume shards (dedup domains); 1 = the unsharded paper "
             "baseline, byte-identical to the storm experiment",
-            gridable=True,
+            gridable=True, check=_check_shards,
         ),
         ParamSpec(
             "grouping", str, "tenant",
@@ -75,7 +88,7 @@ def shard_params() -> tuple[ParamSpec, ...]:
             "per-shard cVolume quota in paper-scale MiB (oldest hoards are "
             "evicted past it; 0 disables quotas); the global contrast side "
             "always gets shards x quota_mb, i.e. the same aggregate budget",
-            gridable=True,
+            gridable=True, check=_check_quota,
         ),
         ParamSpec("nodes", int, 8, "compute nodes", gridable=True),
         ParamSpec("vms_per_node", int, 4, "VMs per node", gridable=True),
@@ -131,7 +144,7 @@ def run(
     )
     ctx = ctx or default_context()
     catalog = ctx.catalog(config.scale)
-    if shards <= 1:
+    if shards == 1:
         report = boot_storm(config, dataset=catalog, trace_path=trace)
         result = ShardStormResult(
             config=config, shards=shards, grouping=grouping,

@@ -1,29 +1,19 @@
 """Discrete-event simulation kernel: clock, processes, contention, metrics."""
 
 from .engine import Engine, Event, Interrupted, Process, all_of
-from .queueing import (
-    QUEUE_KINDS,
-    CalendarEventQueue,
-    EventQueue,
-    HeapEventQueue,
-    make_queue,
-)
+from .queueing import HeapEventQueue
 from .resources import Pipe, Resource
 from .timeline import HistogramStats, Timeline
 
 __all__ = [
-    "CalendarEventQueue",
     "Engine",
     "Event",
-    "EventQueue",
     "HeapEventQueue",
     "HistogramStats",
     "Interrupted",
     "Pipe",
     "Process",
-    "QUEUE_KINDS",
     "Resource",
     "Timeline",
     "all_of",
-    "make_queue",
 ]

@@ -24,17 +24,13 @@ Contention primitives (:class:`~repro.sim.resources.Resource`,
 
 from __future__ import annotations
 
-import os
 from typing import Any, Generator, Iterable
 
 from ..common.errors import SimulationError
 from ..common.rng import stream as rng_stream
-from .queueing import EventQueue, make_queue
+from .queueing import HeapEventQueue
 
 __all__ = ["Engine", "Event", "Interrupted", "Process", "all_of"]
-
-#: environment override for the default event-queue implementation
-QUEUE_ENV = "REPRO_SIM_QUEUE"
 
 #: tie-break draws are taken from the rng in blocks — one vectorised call
 #: per this many pushes. The block is consumed in draw order, so the
@@ -192,31 +188,16 @@ def all_of(engine: "Engine", events: Iterable[Event], label: str | None = None) 
 
 
 class Engine:
-    """The event loop: clock + pluggable queue + process scheduler.
+    """The event loop: clock + heap event queue + process scheduler.
 
-    ``queue`` selects the :class:`~repro.sim.queueing.EventQueue`
-    implementation — ``"heap"`` (default) or ``"calendar"`` by name, an
-    instance for anything custom; the ``REPRO_SIM_QUEUE`` environment
-    variable overrides the default for a whole run. The total event order
-    ``(time, seeded tie-break, sequence)`` is a property of the engine,
-    not the queue, so every implementation replays the same schedule
-    bit-for-bit at equal seed.
+    The total event order ``(time, seeded tie-break, sequence)`` replays
+    the same schedule bit-for-bit at equal seed.
     """
 
-    def __init__(
-        self,
-        *,
-        seed: int | str = 0,
-        trace: bool = False,
-        queue: str | EventQueue | None = None,
-    ) -> None:
+    def __init__(self, *, seed: int | str = 0, trace: bool = False) -> None:
         self.seed = seed
         self._now = 0.0
-        if queue is None:
-            queue = os.environ.get(QUEUE_ENV) or "heap"
-        self._queue: EventQueue = (
-            make_queue(queue) if isinstance(queue, str) else queue
-        )
+        self._queue = HeapEventQueue()
         self._seq = 0
         #: dedicated tie-break stream: same seed -> same total event order
         self._tiebreak = rng_stream("sim-engine-tiebreak", seed)
@@ -341,15 +322,6 @@ class Engine:
         running process it answers "is anything else pending?", which is
         what periodic re-arming loops (the metrics sampler) key off."""
         return len(self._queue) == 0
-
-    @property
-    def queue_kind(self) -> str:
-        """Config-style name of the active queue implementation
-        (``"heap"``/``"calendar"``; a custom queue reports its class)."""
-        name = type(self._queue).__name__
-        if name.endswith("EventQueue"):
-            return name[: -len("EventQueue")].lower()
-        return name
 
     def peek(self) -> float | None:
         """Time of the next queued event, or None when drained."""

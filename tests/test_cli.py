@@ -33,6 +33,16 @@ class TestCli:
         assert main(["tab03", "--scale", "4096", "--quick", "16"]) == 0
         assert "Table 3" in capsys.readouterr().out
 
+    def test_config_error_during_run_is_one_line(self, capsys):
+        """A domain error raised inside a run exits 2 with one line on
+        stderr, not a traceback."""
+        assert main(["storm", "--nodes", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: storm needs at least one node and one VM\n"
+        )
+        assert captured.out == ""
+
 
 class TestExportDirValidation:
     """Bad --metrics/--store/--out targets fail up front, naming the flag."""

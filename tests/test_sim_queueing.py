@@ -1,28 +1,16 @@
-"""Tests for the pluggable event queue: heap vs calendar equivalence.
+"""Tests for the engine's event queue: the heap's total-order contract.
 
 The engine's determinism contract is a total order on (time, seeded
-tiebreak, seq). Any :class:`~repro.sim.EventQueue` implementation must pop
-entries in exactly that order — so a calendar queue and the binary heap
-must produce byte-identical simulations, which is what lets the fast core
-be swapped in under the pinned experiments.
+tiebreak, seq); :class:`~repro.sim.HeapEventQueue` must pop entries in
+exactly that order, under ties and interleaved pushes and pops.
 """
 
-import os
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (
-    CalendarEventQueue,
-    Engine,
-    EventQueue,
-    HeapEventQueue,
-    Pipe,
-    Resource,
-    make_queue,
-    QUEUE_KINDS,
-)
+import pytest
+
+from repro.sim import Engine, HeapEventQueue
 
 
 def drain(queue) -> list[tuple]:
@@ -33,36 +21,6 @@ def drain(queue) -> list[tuple]:
 
 
 class TestQueueContract:
-    def test_kinds_and_factory(self):
-        assert set(QUEUE_KINDS) == {"heap", "calendar"}
-        assert isinstance(make_queue("heap"), HeapEventQueue)
-        assert isinstance(make_queue("calendar"), CalendarEventQueue)
-        with pytest.raises(Exception):
-            make_queue("splay")
-
-    def test_both_satisfy_protocol(self):
-        for kind in QUEUE_KINDS:
-            assert isinstance(make_queue(kind), EventQueue)
-
-    @given(
-        entries=st.lists(
-            st.tuples(
-                st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
-                st.integers(0, 2**62),
-                st.integers(0, 2**20),
-            ),
-            max_size=200,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_calendar_matches_heap_total_order(self, entries):
-        heap, cal = make_queue("heap"), make_queue("calendar")
-        for i, (time, tiebreak, seq) in enumerate(entries):
-            key = (time, tiebreak, seq, i)
-            heap.push(key)
-            cal.push(key)
-        assert drain(cal) == drain(heap)
-
     @given(
         times=st.lists(
             st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.0, 2.5]), max_size=64
@@ -70,85 +28,53 @@ class TestQueueContract:
     )
     @settings(max_examples=25, deadline=None)
     def test_heavy_ties_pop_in_key_order(self, times):
-        cal = make_queue("calendar")
+        queue = HeapEventQueue()
         for i, time in enumerate(times):
-            cal.push((time, i * 7919 % 13, i))
-        assert drain(cal) == sorted(
+            queue.push((time, i * 7919 % 13, i))
+        assert drain(queue) == sorted(
             (time, i * 7919 % 13, i) for i, time in enumerate(times)
         )
 
     def test_interleaved_push_pop(self):
-        heap, cal = make_queue("heap"), make_queue("calendar")
+        queue = HeapEventQueue()
         feed = [(float(i % 5), i) for i in range(40)]
-        out_h, out_c = [], []
+        out = []
         for j, key in enumerate(feed):
-            heap.push(key)
-            cal.push(key)
+            queue.push(key)
             if j % 3 == 2:
-                out_h.append(heap.pop())
-                out_c.append(cal.pop())
-        out_h.extend(drain(heap))
-        out_c.extend(drain(cal))
-        assert out_c == out_h
+                out.append(queue.pop())
+        out.extend(drain(queue))
+        # every pop returns the smallest key pushed so far
+        expected, pending = [], []
+        for j, key in enumerate(feed):
+            pending.append(key)
+            if j % 3 == 2:
+                pending.sort()
+                expected.append(pending.pop(0))
+        expected.extend(sorted(pending))
+        assert out == expected
 
     def test_peek_time(self):
-        for kind in QUEUE_KINDS:
-            queue = make_queue(kind)
-            assert queue.peek_time() is None
-            queue.push((3.0, 0, 0))
-            queue.push((1.0, 0, 1))
-            assert queue.peek_time() == 1.0
-            queue.pop()
-            assert queue.peek_time() == 3.0
+        queue = HeapEventQueue()
+        assert queue.peek_time() is None
+        queue.push((3.0, 0, 0))
+        queue.push((1.0, 0, 1))
+        assert queue.peek_time() == 1.0
+        queue.pop()
+        assert queue.peek_time() == 3.0
 
-    def test_calendar_handles_infinite_times(self):
-        cal = make_queue("calendar")
-        cal.push((float("inf"), 0, 0))
-        cal.push((1.0, 0, 1))
-        assert cal.pop() == (1.0, 0, 1)
-        assert cal.pop() == (float("inf"), 0, 0)
-
-    def test_calendar_resizes_under_load(self):
-        cal = CalendarEventQueue()
-        keys = [(float(i) * 0.001, i % 97, i) for i in range(5000)]
-        for key in keys:
-            cal.push(key)
-        assert drain(cal) == sorted(keys)
-
-
-def contended_trace(seed: int, queue: str) -> list[tuple]:
-    """A mini-cluster with same-instant collisions, run on one queue kind."""
-    engine = Engine(seed=seed, trace=True, queue=queue)
-    pipe = Pipe(engine, 1000.0, name="link")
-    cores = Resource(engine, capacity=2, name="cores")
-
-    def vm(i):
-        yield engine.timeout(float(i % 3), label=f"arrive:{i}")
-        yield pipe.transfer(500, label=f"fetch:{i}")
-        yield cores.request()
-        yield engine.timeout(1.0, label=f"decompress:{i}")
-        cores.release()
-
-    for i in range(12):
-        engine.process(vm(i), label=f"vm:{i}")
-    engine.run()
-    return engine.trace
+    def test_infinite_times_pop_last(self):
+        queue = HeapEventQueue()
+        queue.push((float("inf"), 0, 0))
+        queue.push((1.0, 0, 1))
+        assert queue.pop() == (1.0, 0, 1)
+        assert queue.pop() == (float("inf"), 0, 0)
 
 
 class TestEngineQueueEquivalence:
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_calendar_engine_bit_identical_to_heap(self, seed):
-        assert contended_trace(seed, "calendar") == contended_trace(seed, "heap")
-
-    def test_engine_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-        assert Engine().queue_kind == "calendar"
-        monkeypatch.delenv("REPRO_SIM_QUEUE")
-        assert Engine().queue_kind == "heap"
-
     def test_engine_rejects_unknown_queue(self):
-        with pytest.raises(Exception):
+        """The engine has one queue: there is no ``queue=`` option."""
+        with pytest.raises(TypeError):
             Engine(queue="fibonacci")
 
     def test_drained_reflects_pending_work(self):
