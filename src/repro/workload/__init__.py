@@ -14,7 +14,6 @@ from .scenarios import (
     StormConfig,
     StormReport,
     StormSide,
-    TimedSquirrel,
     boot_storm,
     register_churn,
     steady_state_day,
@@ -22,6 +21,7 @@ from .scenarios import (
 )
 from .sharding import ShardStormOutcome, shard_storm
 from .tenants import Tenant, TenantPopulation
+from .timed import TimedSquirrel
 
 __all__ = [
     "DAY_S",

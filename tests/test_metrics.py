@@ -377,7 +377,7 @@ class TestStormMetrics:
             summarize_path(tmp_path / "nope")
 
     def test_node_detail_cap_folds_large_fleets(self):
-        from repro.workload.scenarios import METRICS_NODE_DETAIL
+        from repro.workload.timed import METRICS_NODE_DETAIL
 
         n = METRICS_NODE_DETAIL + 6
         report = boot_storm(

@@ -22,6 +22,7 @@ import json
 import pytest
 
 from repro.common.report import dumps_canonical
+from repro.faults import FaultPlan
 from repro.obs import SpanTracer, dump_chrome_trace
 from repro.obs.analyze import (
     TIERS,
@@ -39,7 +40,6 @@ from repro.obs.flame import folded_stacks
 from repro.sim import Engine
 from repro.vmi import AzureCommunityDataset, DatasetConfig
 from repro.workload import StormConfig, boot_storm
-from repro.workload.scenarios import FaultPlan
 
 
 # -- unit: the last-finisher chain ----------------------------------------------------
