@@ -17,10 +17,12 @@ One process per scheduled fault, running against a
   boots with a fetch in flight *from that brick* are preempted so their
   retry re-plans around the dead brick.
 
-Every state change lands in the rig's :class:`~repro.sim.Timeline`:
-``node_crashes`` / ``node_rejoins`` / ``link_flaps`` / ``brick_failures``
-counters and the ``node_recovery_s`` histogram (crash → resynced), which
-scenario reports surface next to boot latency. Each fault also opens a span
+Every state change is recorded through the rig's instrument table
+(:meth:`~repro.workload.TimedSquirrel.record`): ``node_crashes`` /
+``node_rejoins`` / ``link_flaps`` / ``brick_failures`` Timeline counters
+(the fired ones also count in ``faults_injected_total{kind}``) and the
+``node_recovery_s`` histogram (crash → resynced), which scenario reports
+surface next to boot latency. Each fault also opens a span
 (``fault.crash`` / ``fault.flap`` / ``fault.brick``) on the rig's tracer,
 so the outage window renders right above the boots it preempted; a node
 crash additionally wipes the node's in-memory ARC — the reboot loses it.
@@ -29,7 +31,7 @@ crash additionally wipes the node's in-memory ARC — the reboot loses it.
 from __future__ import annotations
 
 from ..common.errors import ConfigError
-from ..sim import Engine, Event, Timeline
+from ..sim import Engine, Event
 from .plan import FaultKind, FaultPlan, FaultSpec
 
 __all__ = ["FaultInjector"]
@@ -43,22 +45,14 @@ class FaultInjector:
         self.timed = timed
         self.plan = plan
         self.engine: Engine = timed.engine
-        self.timeline: Timeline = timed.timeline
         #: crashed nodes -> event triggered once the node is back *and* resynced
         self._rejoin: dict[str, Event] = {}
         self._validate()
         timed.faults = self
-        # fault telemetry on the rig's registry: the sampler tracks the
-        # down-node count through every outage window, and per-kind counters
-        # record how much of the plan actually fired (overlaps are skipped)
-        self._m_injected = timed.metrics.counter(
-            "faults_injected_total", "Faults fired by kind", labels=("kind",)
-        )
-        for kind in ("brick", "crash", "flap"):
-            self._m_injected.labels(kind=kind)
-        timed.metrics.gauge(
-            "faults_nodes_down", "Compute nodes currently crashed"
-        ).set_function(lambda: float(len(self._rejoin)))
+        # fault telemetry: the sampler tracks the down-node count through
+        # every outage window, and per-kind counters record how much of the
+        # plan actually fired (overlaps are skipped)
+        timed.declare("faults")
 
     def _validate(self) -> None:
         cluster = self.timed.squirrel.cluster
@@ -89,6 +83,11 @@ class FaultInjector:
     def is_down(self, node_name: str) -> bool:
         return node_name in self._rejoin
 
+    @property
+    def nodes_down(self) -> int:
+        """Compute nodes currently crashed (not yet rejoined)."""
+        return len(self._rejoin)
+
     def rejoin_event(self, node_name: str) -> Event:
         """Event triggered when the crashed node has rebooted *and* caught
         up via offline propagation; boots delayed by the crash wait on it."""
@@ -100,11 +99,10 @@ class FaultInjector:
         engine, timed = self.engine, self.timed
         yield engine.timeout(fault.at_s)
         if fault.target in self._rejoin:
-            self.timeline.count("faults_skipped")  # already down: overlap
+            timed.record("faults_skipped")  # already down: overlap
             return
         crashed_at = engine.now
-        self.timeline.count("node_crashes")
-        self._m_injected.labels(kind="crash").inc()
+        timed.record("node_crashes")
         span = timed.tracer.span(
             "fault.crash", track=fault.target, node=fault.target,
             duration_s=fault.duration_s,
@@ -132,8 +130,8 @@ class FaultInjector:
         # ALL missed incrementals in snapshot order, or re-replicates when
         # the base snapshot fell out of the GC window)
         yield timed.resync(fault.target)
-        self.timeline.count("node_rejoins")
-        self.timeline.observe("node_recovery_s", engine.now - crashed_at)
+        timed.record("node_rejoins")
+        timed.observe("node_recovery_s", engine.now - crashed_at)
         span.end(preempted_boots=preempted)
         self._rejoin.pop(fault.target).succeed()
 
@@ -145,8 +143,7 @@ class FaultInjector:
             if fault.target in timed.nic
             else timed.brick[fault.target]
         )
-        self.timeline.count("link_flaps")
-        self._m_injected.labels(kind="flap").inc()
+        timed.record("link_flaps")
         span = timed.tracer.span(
             "fault.flap", track=fault.target, link=fault.target,
             duration_s=fault.duration_s,
@@ -155,17 +152,16 @@ class FaultInjector:
         yield engine.timeout(fault.duration_s)
         pipe.unblock()
         span.end()
-        self.timeline.count("link_restores")
+        timed.record("link_restores")
 
     def _brick_fail(self, fault: FaultSpec):
         engine, timed = self.engine, self.timed
         gluster = timed.squirrel.cluster.storage.gluster
         yield engine.timeout(fault.at_s)
         if not gluster.is_alive(fault.target):
-            self.timeline.count("faults_skipped")
+            timed.record("faults_skipped")
             return
-        self.timeline.count("brick_failures")
-        self._m_injected.labels(kind="brick").inc()
+        timed.record("brick_failures")
         span = timed.tracer.span(
             "fault.brick", track=fault.target, brick=fault.target,
             duration_s=fault.duration_s,
@@ -182,4 +178,4 @@ class FaultInjector:
         gluster.restore_node(fault.target)
         timed.brick[fault.target].unblock()
         span.end(preempted_boots=preempted)
-        self.timeline.count("brick_restores")
+        timed.record("brick_restores")
