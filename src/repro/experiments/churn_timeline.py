@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..common.errors import ConfigError
 from ..common.report import ReportBase
 from ..common.units import GiB
 from ..metrics import write_run_exports
@@ -47,12 +48,23 @@ CHURN_METRICS = (
 )
 
 
+def _positive(name: str):
+    """A ``check=`` validator rejecting values <= 0, naming the param."""
+
+    def check(value: float) -> None:
+        if value <= 0:
+            raise ConfigError(f"param {name!r}: must be > 0, got {value}")
+
+    return check
+
+
 def churn_params() -> tuple[ParamSpec, ...]:
     """The churn scenario's declarative parameters."""
     return (
         ParamSpec("nodes", int, 8, "compute nodes", gridable=True),
         ParamSpec(
-            "days", float, 7.0, "simulated horizon in days", gridable=True
+            "days", float, 7.0, "simulated horizon in days", gridable=True,
+            check=_positive("days"),
         ),
         ParamSpec(
             "registrations_per_day",
@@ -60,6 +72,7 @@ def churn_params() -> tuple[ParamSpec, ...]:
             6.0,
             "mean registration rate",
             gridable=True,
+            check=_positive("registrations_per_day"),
         ),
         ParamSpec(
             "downtimes_per_node",

@@ -43,6 +43,14 @@ class TestCli:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--days", "--registrations-per-day"])
+    def test_churn_rejects_non_positive_rates_at_validation(self, flag, capsys):
+        """``churn --days 0`` names the parameter before anything runs."""
+        with pytest.raises(SystemExit):
+            main(["churn", flag, "0"])
+        name = flag[2:].replace("-", "_")
+        assert f"param '{name}': must be > 0" in capsys.readouterr().err
+
 
 class TestExportDirValidation:
     """Bad --metrics/--store/--out targets fail up front, naming the flag."""

@@ -160,3 +160,12 @@ class TestScenarios:
         # every downtime window ends in a catch-up attempt; some find
         # nothing to ship (no registrations while down) and move no bytes
         assert report.resync_latency.count >= report.resyncs
+
+    def test_register_churn_rejects_more_arrivals_than_images(self):
+        """Every arrival registers a new image: a rate the catalog cannot
+        feed fails up front, naming both counts, instead of dropping the
+        excess arrivals."""
+        with pytest.raises(ConfigError, match=r"1714 registrations .* 607 images"):
+            register_churn(
+                ChurnConfig(n_nodes=2, horizon_days=28.0, registrations_per_day=60.0)
+            )
