@@ -9,15 +9,20 @@ a same-seed re-run.
 
 import time
 
-from repro.experiments import recovery_timeline as exp
+from repro.experiments import registry
 from repro.workload import boot_storm
+
+#: the faulted storm, reached with its declared defaults (DEFAULT_FAULTS)
+exp = registry.get("recovery")
 
 
 def test_recovery_timeline(benchmark, record_result):
     started = time.perf_counter()
-    result = benchmark.pedantic(exp.run, rounds=1)
+    result = benchmark.pedantic(
+        exp.run, args=(None,), kwargs=exp.validate({}), rounds=1
+    )
     wall = time.perf_counter() - started
-    record_result(exp.EXPERIMENT_ID, exp.render(result))
+    record_result(exp.exp_id, exp.render(result))
     report = result.report
 
     assert wall < 60.0, f"faulted 64x8 storm took {wall:.1f}s wall-clock"

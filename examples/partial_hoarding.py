@@ -17,7 +17,7 @@ Run:  python examples/partial_hoarding.py
 """
 
 from repro.common.units import GiB
-from repro.experiments import placement_storm
+from repro.experiments.storm_timeline import run_placement
 from repro.placement import POLICY_NAMES
 
 NODES = 16
@@ -35,7 +35,7 @@ def main() -> None:
     )
     print(header)
     for policy in POLICY_NAMES:
-        result = placement_storm.run(
+        result = run_placement(
             policy=policy,
             transport="swarm",
             nodes=NODES,

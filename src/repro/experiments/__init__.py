@@ -20,9 +20,6 @@ from . import (
     fig13_incremental,
     fig18_network_transfer,
     fits,
-    placement_storm,
-    recovery_timeline,
-    shard_storm,
     storm_timeline,
     tab01_storage_chain,
     tab02_os_diversity,
@@ -44,7 +41,6 @@ __all__ = [
     "consumption",
     "day_timeline",
     "default_context",
-    "recovery_timeline",
     "register",
     "fig02_compression_ratio",
     "fig03_codecs",
@@ -57,8 +53,6 @@ __all__ = [
     "fig13_incremental",
     "fig18_network_transfer",
     "fits",
-    "placement_storm",
-    "shard_storm",
     "storm_timeline",
     "tab01_storage_chain",
     "tab02_os_diversity",

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.errors import ConfigError
-from ..common.hashing import derive_seed
 from ..common.report import ReportBase
 from ..shard import ShardRouter, build_plan
 from ..vmi import (
@@ -39,10 +38,9 @@ from .scenarios import (
     StormReport,
     StormSide,
     _run_storm_side,
-    _storm_trace,
     boot_storm,
+    storm_arrivals,
 )
-from .tenants import TenantPopulation
 
 __all__ = ["ShardStormOutcome", "shard_storm"]
 
@@ -60,19 +58,6 @@ class ShardStormOutcome(ReportBase):
     report: StormReport  #: the grouped run (both storm sides)
     global_side: StormSide  #: the global-domain contrast (Squirrel side only)
     sharding: dict  #: grouped/global router blocks + victim
-
-
-def _owners(config: StormConfig, n_images: int) -> tuple[int, ...]:
-    """Tenant owner per image, from the same population (same seed) that
-    generates the arrival trace — tenant-mode plans group what the trace
-    actually boots."""
-    population = TenantPopulation(
-        config.n_tenants,
-        n_images,
-        seed=derive_seed("workload-storm-tenants", config.seed),
-        zipf_exponent=config.zipf_exponent,
-    )
-    return tuple(int(t) for t in population.image_owners())
 
 
 def _victim(grouped: dict, global_: dict) -> dict:
@@ -127,11 +112,10 @@ def shard_storm(
     estimator = estimator or make_estimator(
         "gzip6", (config.block_size,), samples_per_point=2
     )
-    n_images = min(config.n_nodes * config.vms_per_node, len(catalog))
-    plan = _storm_trace(config, n_images)
-    n_registered = max(image_id for _, _, image_id, _ in plan) + 1
-    specs = catalog.specs[:n_registered]
-    owners = _owners(config, n_images)
+    arrivals = storm_arrivals(config, catalog)
+    specs = catalog.specs[: arrivals.n_registered]
+    # tenant-mode plans group what the trace actually boots
+    owners = tuple(int(t) for t in arrivals.population.image_owners())
     kwargs = {"threshold": threshold} if threshold is not None else {}
     shard_plan = build_plan(specs, shards, grouping, owners=owners, **kwargs)
     global_plan = build_plan(specs, 1, grouping, owners=owners, **kwargs)
@@ -141,38 +125,35 @@ def shard_storm(
     arc_slice = quota_mb * MiB if quota_mb > 0 else None
     tenants = tuple(range(config.n_tenants))
 
-    grouped_sink: list[ShardRouter] = []
+    grouped_router = ShardRouter(
+        shard_plan,
+        quota_bytes=quota_scaled,
+        arc_bytes_per_shard=arc_slice,
+        tenants=tenants,
+    )
     report = boot_storm(
         config,
         dataset=catalog,
         estimator=estimator,
         trace_path=trace_path,
-        sharding_factory=lambda _squirrel: ShardRouter(
-            shard_plan,
-            quota_bytes=quota_scaled,
-            arc_bytes_per_shard=arc_slice,
-            tenants=tenants,
-        ),
-        sharding_sink=grouped_sink.append,
+        sharding_factory=lambda _squirrel: grouped_router,
     )
-    global_sink: list[ShardRouter] = []
+    global_router = ShardRouter(
+        global_plan,
+        quota_bytes=quota_scaled * shards,
+        arc_bytes_per_shard=(
+            arc_slice * shards if arc_slice is not None else None
+        ),
+        tenants=tenants,
+    )
     global_side, _tracer = _run_storm_side(
         config,
         with_caches=True,
         catalog=catalog,
         estimator=estimator,
-        plan=plan,
-        sharding_factory=lambda _squirrel: ShardRouter(
-            global_plan,
-            quota_bytes=quota_scaled * shards,
-            arc_bytes_per_shard=(
-                arc_slice * shards if arc_slice is not None else None
-            ),
-            tenants=tenants,
-        ),
-        sharding_sink=global_sink.append,
+        arrivals=arrivals,
+        sharding_factory=lambda _squirrel: global_router,
     )
-    grouped_router, global_router = grouped_sink[0], global_sink[0]
     grouped_tenants = grouped_router.tenant_stats()
     global_tenants = global_router.tenant_stats()
     grouped_block = grouped_router.shard_block()

@@ -7,7 +7,7 @@ and every Timeline counter a run writes is a table fact.
 
 import pytest
 
-from repro.experiments import placement_storm, shard_storm, storm_timeline
+from repro.experiments import storm_timeline
 from repro.workload.timed import (
     ALWAYS,
     FAULTS,
@@ -31,13 +31,13 @@ RIGS = {
         {ALWAYS, FAULTS},
     ),
     "placement": (
-        lambda: placement_storm.run(
+        lambda: storm_timeline.run_placement(
             policy="top_k", nodes=4, vms_per_node=2
         ).report.squirrel,
         {ALWAYS, PLACEMENT},
     ),
     "shards": (
-        lambda: shard_storm.run(
+        lambda: storm_timeline.run_shards(
             shards=4, nodes=4, vms_per_node=2
         ).report.squirrel,
         {ALWAYS, SHARDING},

@@ -93,13 +93,17 @@ class TestLazyCatalogEquivalence:
     def test_placement_storm_lazy_equals_eager_context(self):
         from repro.common.report import dumps_canonical
         from repro.experiments import ExperimentConfig, ExperimentContext
-        from repro.experiments import placement_storm
+        from repro.experiments import storm_timeline
 
         kwargs = dict(
             nodes=4, vms_per_node=2, seed=7, policy="top_k", top_k=2
         )
-        a = placement_storm.run(ctx=ExperimentContext(ExperimentConfig()), **kwargs)
-        b = placement_storm.run(ctx=ExperimentContext(ExperimentConfig()), **kwargs)
+        a = storm_timeline.run_placement(
+            ctx=ExperimentContext(ExperimentConfig()), **kwargs
+        )
+        b = storm_timeline.run_placement(
+            ctx=ExperimentContext(ExperimentConfig()), **kwargs
+        )
         assert dumps_canonical(a.to_dict()) == dumps_canonical(b.to_dict())
 
     def test_figure_metrics_lazy_equals_inline_synthesis(self):

@@ -7,11 +7,10 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.report import dumps_canonical
-from repro.experiments import registry, shard_storm, storm_timeline
+from repro.experiments import registry, storm_timeline
 from repro.experiments.params import validate_params
 from repro.shard import ShardPlan
 from repro.sweep import SweepSpec, run_sweep
-from repro.workload import StormConfig
 from repro.workload import timed
 from repro.zfs import AdaptiveReplacementCache
 
@@ -21,13 +20,13 @@ SMALL = {"nodes": 8, "vms_per_node": 2}
 
 @pytest.fixture(scope="module")
 def sharded():
-    return shard_storm.run(shards=4, grouping="tenant", quota_mb=256, **SMALL)
+    return storm_timeline.run_shards(shards=4, grouping="tenant", quota_mb=256, **SMALL)
 
 
 class TestRegistration:
     def test_registered_with_params_and_metrics(self):
         exp = registry.get("shards")
-        assert exp.exp_id == shard_storm.EXPERIMENT_ID
+        assert exp.exp_id == storm_timeline.SHARDS_ID
         names = {spec.name for spec in exp.params}
         assert {"shards", "grouping", "quota_mb", "nodes", "seed"} <= names
         assert "sharding.victim.delta" in exp.metrics
@@ -54,18 +53,16 @@ class TestUnshardedAnchor:
     def test_shards1_report_matches_storm_run(self):
         """shards=1 attaches no router: the embedded report must be
         byte-for-byte the storm experiment's at the same config."""
-        one = shard_storm.run(shards=1, **SMALL)
-        storm = storm_timeline.run(
-            config=StormConfig(n_nodes=8, vms_per_node=2, seed=0)
-        )
+        one = storm_timeline.run_shards(shards=1, **SMALL)
+        storm = storm_timeline.run(**SMALL)
         assert dumps_canonical(one.report.to_dict()) == dumps_canonical(
             storm.report.to_dict()
         )
         assert one.sharding == {} and one.global_side == {}
 
     def test_shards1_render_names_the_baseline(self):
-        one = shard_storm.run(shards=1, **SMALL)
-        assert "unsharded baseline" in shard_storm.render(one)
+        one = storm_timeline.run_shards(shards=1, **SMALL)
+        assert "unsharded baseline" in storm_timeline.render_shards(one)
 
 
 class TestNodeArc:
@@ -126,12 +123,12 @@ class TestShardingBlock:
         assert side["latency_p95"] >= side["latency_p50"] > 0
 
     def test_tiny_quota_forces_evictions(self):
-        result = shard_storm.run(shards=2, quota_mb=1, **SMALL)
+        result = storm_timeline.run_shards(shards=2, quota_mb=1, **SMALL)
         stats = result.sharding["grouped"]["scvolume"]
         assert sum(s["evictions"] for s in stats.values()) > 0
 
     def test_render_mentions_the_victim(self, sharded):
-        text = shard_storm.render(sharded)
+        text = storm_timeline.render_shards(sharded)
         assert "victim tenant" in text
         assert "dedup loss" in text
 
@@ -142,7 +139,7 @@ class TestDetailCapFold:
         shard families keep exact sums through ``_other``/``_fleet``
         children instead of one series per node or tenant."""
         monkeypatch.setattr(timed, "METRICS_NODE_DETAIL", 2)
-        result = shard_storm.run(shards=2, quota_mb=64, **SMALL)
+        result = storm_timeline.run_shards(shards=2, quota_mb=64, **SMALL)
         side = result.report.squirrel
         by_name = {f["name"]: f for f in side.metrics["instruments"]}
 
