@@ -111,32 +111,24 @@ def run(
     faults: str | None = None,
     trace: str | None = None,
     metrics: str | None = None,
-    config: ChurnConfig | None = None,
-    trace_path: str | None = None,
-    metrics_path: str | None = None,
 ) -> ChurnTimelineResult:
     """Run the churn horizon. The scenario owns its dataset, so the shared
-    context is accepted for interface uniformity but unused. A programmatic
-    caller may pass a ready-made ``config`` (which wins over the individual
-    params); ``trace``/``metrics`` (aliases ``trace_path``/``metrics_path``)
-    export spans and metrics."""
-    if config is None:
-        config = ChurnConfig.from_params(
-            nodes=nodes,
-            days=days,
-            registrations_per_day=registrations_per_day,
-            downtimes_per_node=downtimes_per_node,
-            seed=seed,
-            faults=faults,
-        )
-    trace_path = trace_path or trace
-    metrics_path = metrics_path or metrics
+    context is accepted for interface uniformity but unused.
+    ``trace``/``metrics`` export spans and metrics."""
+    config = ChurnConfig.from_params(
+        nodes=nodes,
+        days=days,
+        registrations_per_day=registrations_per_day,
+        downtimes_per_node=downtimes_per_node,
+        seed=seed,
+        faults=faults,
+    )
     result = ChurnTimelineResult(
         config=config,
-        report=register_churn(config, trace_path=trace_path),
+        report=register_churn(config, trace_path=trace),
     )
-    if metrics_path is not None:
-        write_run_exports(metrics_path, result)
+    if metrics is not None:
+        write_run_exports(metrics, result)
     return result
 
 

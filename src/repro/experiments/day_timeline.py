@@ -92,32 +92,24 @@ def run(
     faults: str | None = None,
     trace: str | None = None,
     metrics: str | None = None,
-    config: DayConfig | None = None,
-    trace_path: str | None = None,
-    metrics_path: str | None = None,
 ) -> DayTimelineResult:
     """Run the day. The scenario owns its dataset (the day's catalogue is
     small), so the shared context is accepted for interface uniformity but
-    unused. A programmatic caller may pass a ready-made ``config`` (which
-    wins over the individual params); ``trace``/``metrics`` (aliases
-    ``trace_path``/``metrics_path``) export spans and metrics."""
-    if config is None:
-        config = DayConfig.from_params(
-            nodes=nodes,
-            boots=boots,
-            tenants=tenants,
-            registrations=registrations,
-            seed=seed,
-            faults=faults,
-        )
-    trace_path = trace_path or trace
-    metrics_path = metrics_path or metrics
+    unused. ``trace``/``metrics`` export spans and metrics."""
+    config = DayConfig.from_params(
+        nodes=nodes,
+        boots=boots,
+        tenants=tenants,
+        registrations=registrations,
+        seed=seed,
+        faults=faults,
+    )
     result = DayTimelineResult(
         config=config,
-        report=steady_state_day(config, trace_path=trace_path),
+        report=steady_state_day(config, trace_path=trace),
     )
-    if metrics_path is not None:
-        write_run_exports(metrics_path, result)
+    if metrics is not None:
+        write_run_exports(metrics, result)
     return result
 
 
