@@ -5,10 +5,14 @@ stay in sync — a reproduction whose map doesn't match its territory is worse
 than none.
 """
 
+import importlib.util
 import pathlib
 import re
 
+import pytest
+
 REPO = pathlib.Path(__file__).parent.parent
+EXAMPLES = sorted((REPO / "examples").glob("*.py"))
 
 PAPER_ARTIFACTS = [
     "fig02", "fig03", "fig04", "fig08", "fig09", "fig10", "fig11",
@@ -52,3 +56,14 @@ class TestBenchCoverage:
             text = example.read_text()
             assert '__main__' in text, f"{example.name} is not runnable"
             assert '"""' in text, f"{example.name} lacks a docstring"
+
+    @pytest.mark.parametrize("example", EXAMPLES, ids=lambda p: p.stem)
+    def test_example_imports_cleanly(self, example):
+        """Load the script as a module (not as ``__main__``, so nothing
+        runs): every name it imports from ``repro`` must still exist."""
+        spec = importlib.util.spec_from_file_location(
+            f"example_{example.stem}", example
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main)
