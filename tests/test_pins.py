@@ -11,12 +11,18 @@ the node-detail cap's ``_other``/``_fleet`` children; registration churn
 under every fault kind (including a skipped overlap); and the sharded
 storm.
 
+The trace pin hashes the Chrome trace of a placement storm under a peer
+crash and a brick failure: the span args (``replica``, ``degraded``,
+``role``, ``interrupted``) that no result digest covers.
+
 The surface pins hash what ``python -m repro <id> --help`` and the sweep
 runner read from the registry for the four storm-shaped experiments:
 title, sweep metrics and every declared parameter.
 """
 
 import hashlib
+import json
+from collections import Counter
 
 import pytest
 
@@ -79,6 +85,11 @@ CASES = {
     ),
 }
 
+#: a holder crash while redirects stream from it, plus a brick failure
+#: while cold reads stream from that brick
+TRACE_FAULTS = "crash:compute2@8+30,brick:storage0@3+20"
+TRACE_DIGEST = "27b0224eea2fcb623c020661a1c0e2a53ec7de428bc4cf7709d291a3350223be"
+
 #: sha256 of each storm-shaped experiment's registry surface
 SURFACES = {
     "storm": "87b164e986c57c8eb3ae7be9e5db6b0d23e911f0c194e6709fcb3d0a280d010a",
@@ -120,6 +131,27 @@ class TestResultDigests:
     def test_canonical_result_is_byte_stable(self, case):
         run, expected = CASES[case]
         assert _sha256(dumps_canonical(run().to_dict())) == expected
+
+
+class TestTraceDigest:
+    def test_faulted_placement_trace_is_byte_stable(self, tmp_path):
+        path = tmp_path / "trace.json"
+        result = _run(
+            "placement", policy="top_k", nodes=8, vms_per_node=4,
+            faults=TRACE_FAULTS, trace=str(path),
+        )
+        report = result.report
+        assert report.squirrel.boots == report.baseline.boots == 32
+        events = json.loads(path.read_text())["traceEvents"]
+        killed = Counter(
+            event["args"].get("interrupted")
+            for event in events
+            if event["ph"] == "X"
+        )
+        # a holder crash preempts the redirects streaming from it
+        assert killed["peer-crash"] > 0
+        assert killed["brick-failure"] > 0
+        assert _sha256(path.read_text()) == TRACE_DIGEST
 
 
 class TestStormSurface:
