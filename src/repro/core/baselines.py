@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..common.errors import NetworkError
 from ..vmi.dataset import AzureCommunityDataset
-from .squirrel import Squirrel, cold_read_bytes
+from .squirrel import Squirrel, cold_read
 
 __all__ = ["BootStormResult", "run_boot_storm", "full_copy_transfer_bytes"]
 
@@ -72,11 +72,7 @@ def run_boot_storm(
                 outcome = squirrel.boot(image_id, node.name)
                 hits += outcome.cache_hit
             else:
-                spec = dataset.images[image_id]
-                cluster.storage.gluster.read(
-                    f"vmi-{image_id:05d}", 0, cold_read_bytes(spec),
-                    reader=node.name, purpose="boot-read",
-                )
+                cold_read(cluster.storage.gluster, dataset.images[image_id], node.name)
             boots += 1
     moved = cluster.compute_ingress_bytes(purpose="boot-read") - before
     return BootStormResult(

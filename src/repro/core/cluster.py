@@ -127,14 +127,14 @@ class IaaSCluster:
             replica_count=replica_count,
             ledger=ledger,
         )
-        storage_pool = ZPool("scpool", capacity=pool_capacity, store_payloads=False)
+        storage_pool = ZPool("scpool", capacity=pool_capacity)
         storage_pool.create_dataset(
             SCVOLUME, record_size=block_size, compression=compression, dedup=True
         )
         # all nodes start with identical (empty) ccVolumes: one shared
         # blank pool, interned — nodes only diverge when their operation
         # histories do (see repro.core.replica)
-        blank = ZPool("ccpool", capacity=pool_capacity, store_payloads=False)
+        blank = ZPool("ccpool", capacity=pool_capacity)
         blank.create_dataset(
             CCVOLUME, record_size=block_size, compression=compression, dedup=True
         )

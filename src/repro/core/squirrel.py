@@ -41,7 +41,15 @@ from .cluster import ComputeNode, IaaSCluster
 from .cvolume import GLOBAL_PLAN, CVolume, ShardChain, ShardPlan
 from .replica import apply_to_nodes
 
-__all__ = ["Squirrel", "BootOutcome", "RegistrationRecord", "cold_read_bytes"]
+__all__ = [
+    "Squirrel",
+    "BootOutcome",
+    "RegistrationRecord",
+    "cache_file_name",
+    "cold_read",
+    "cold_read_bytes",
+    "vmi_file_name",
+]
 
 
 #: Network read amplification of a cold (no-cache) boot: the boot working
@@ -69,8 +77,23 @@ def cold_read_bytes(spec: ImageSpec) -> int:
     return min(to_read, spec.nonzero_bytes)
 
 
-def _cache_file_name(image_id: int) -> str:
+def vmi_file_name(image_id: int) -> str:
+    """The base VMI's file on the parallel FS."""
+    return f"vmi-{image_id:05d}"
+
+
+def cache_file_name(image_id: int) -> str:
+    """The image's cache file on the scVolume and every ccVolume."""
     return f"cache-{image_id:05d}"
+
+
+def cold_read(gluster, spec: ImageSpec, reader: str):
+    """A no-cache boot's read of its boot set off the parallel FS: returns
+    the bytes moved and the per-brick service plan."""
+    return gluster.read_with_plan(
+        vmi_file_name(spec.image_id), 0, cold_read_bytes(spec),
+        reader=reader, purpose="boot-read",
+    )
 
 
 @dataclass(frozen=True)
@@ -193,12 +216,11 @@ class Squirrel:
         catalog = self.catalog
         if catalog is not None:
             try:
-                if catalog.spec(spec.image_id) is spec:
-                    return catalog.block_view(
-                        spec.image_id, record_size, "caches"
-                    )
-            except Exception:
-                pass  # unknown id / foreign spec: build inline below
+                known = catalog.spec(spec.image_id) is spec
+            except ConfigError:
+                known = False  # unknown id: build inline below
+            if known:
+                return catalog.block_view(spec.image_id, record_size, "caches")
         return block_view(cache_stream(spec), record_size)
 
     def register(self, spec: ImageSpec, *, uploader: str = "user") -> RegistrationRecord:
@@ -206,7 +228,7 @@ class Squirrel:
         if spec.image_id in self._registered:
             raise RegistrationError(f"image {spec.image_id} already registered")
         gluster = self.cluster.storage.gluster
-        vmi_name = f"vmi-{spec.image_id:05d}"
+        vmi_name = vmi_file_name(spec.image_id)
         if not gluster.has_file(vmi_name):
             gluster.create_file(vmi_name, spec.nonzero_bytes, writer=uploader)
 
@@ -223,7 +245,7 @@ class Squirrel:
         cvolume = self.cvolume
         chain = cvolume.chain_of(spec.image_id)
         scds = chain.dataset
-        cache_file = _cache_file_name(spec.image_id)
+        cache_file = cache_file_name(spec.image_id)
         view = self._cache_view(spec, scds.record_size)
         psizes = view.psizes(self.estimator)
         rows = list(
@@ -264,7 +286,6 @@ class Squirrel:
                 scds,
                 snap_name,
                 from_snapshot=previous.name if previous else None,
-                include_payloads=False,
             )
             result = self._propagate(chain, stream)
             n_bytes, duration_s, receivers = (
@@ -343,7 +364,7 @@ class Squirrel:
         if spec is None:
             raise RegistrationError(f"image {image_id} is not registered")
         node = self.cluster.node(node_name)
-        cache_file = _cache_file_name(image_id)
+        cache_file = cache_file_name(image_id)
         cc = self.cvolume.chain_of(image_id).cc_name
         if (
             node.online
@@ -381,11 +402,7 @@ class Squirrel:
                 )
             self.placement.record_origin_fallback()
         # cold path: QCOW2 cluster-granular reads of the boot set over the net
-        vmi_name = f"vmi-{image_id:05d}"
-        moved, plan = self.cluster.storage.gluster.read_with_plan(
-            vmi_name, 0, cold_read_bytes(spec), reader=node_name,
-            purpose="boot-read",
-        )
+        moved, plan = cold_read(self.cluster.storage.gluster, spec, node_name)
         return (
             BootOutcome(
                 image_id, node_name, cache_hit=False, network_bytes=moved,
@@ -401,7 +418,7 @@ class Squirrel:
         the next registration's diff)."""
         if image_id not in self._registered:
             raise RegistrationError(f"image {image_id} is not registered")
-        cache_file = _cache_file_name(image_id)
+        cache_file = cache_file_name(image_id)
         cvolume = self.cvolume
         chain = cvolume.chain_of(image_id)
         # a quota eviction may already have dropped the hoard
@@ -502,15 +519,12 @@ class Squirrel:
             names = [snap.name for snap in scds.snapshots()]
             start = names.index(base)
             for from_snap, to_snap in zip(names[start:], names[start + 1:]):
-                stream = generate_send(
-                    scds, to_snap, from_snapshot=from_snap,
-                    include_payloads=False,
-                )
+                stream = generate_send(scds, to_snap, from_snapshot=from_snap)
                 moved += self._ship_to_node(node, chain, stream)
         else:
             # fell out of the window (or brand-new node): full replication
             self._reset_chain(node, chain)
-            stream = generate_send(scds, latest.name, include_payloads=False)
+            stream = generate_send(scds, latest.name)
             moved = self._ship_to_node(node, chain, stream)
         # drop node-local snapshots the scVolume no longer has (GC ran while
         # the node was away); frees the space their deadlists pin
@@ -562,4 +576,4 @@ class Squirrel:
         return image_id in self._registered
 
     def cache_file_of(self, image_id: int) -> str:
-        return _cache_file_name(image_id)
+        return cache_file_name(image_id)

@@ -53,7 +53,7 @@ class Fig11Result(ReportBase):
 
 def _build_ccvolume(ctx: ExperimentContext, block_size: int):
     estimator = ctx.estimator("gzip6", (block_size,))
-    pool = ZPool(capacity=1 << 42, store_payloads=False)
+    pool = ZPool(capacity=1 << 42)
     volume = pool.create_dataset(
         "ccvol", record_size=block_size, compression="gzip6", dedup=True
     )

@@ -121,7 +121,7 @@ class FaultInjector:
             preempted += 1
         # placement redirects streaming *from* this host die with it too;
         # their retry re-picks a surviving holder from the directory
-        for boot in timed.inflight_from_peer(fault.target):
+        for boot in timed.inflight_from(fault.target):
             boot.process.interrupt("peer-crash")
             preempted += 1
         yield engine.timeout(fault.duration_s)
@@ -171,7 +171,7 @@ class FaultInjector:
         # fetches being served by the dead brick are lost mid-stream; the
         # preempted boots re-read immediately through the degraded plan
         preempted = 0
-        for boot in timed.inflight_on_brick(fault.target):
+        for boot in timed.inflight_from(fault.target):
             boot.process.interrupt("brick-failure")
             preempted += 1
         yield engine.timeout(fault.duration_s)

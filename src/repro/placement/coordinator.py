@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from ..common.errors import ConfigError
 from ..core.cluster import CCVOLUME
 from ..core.replica import apply_to_nodes
+from ..core.squirrel import cache_file_name
 from .directory import PlacementDirectory
 from .policy import (
     POLICY_NAMES,
@@ -211,7 +212,7 @@ class PlacementCoordinator:
         rows = self._rows.get(image_id)
         if rows is None:
             return False
-        cache_file = f"cache-{image_id:05d}"
+        cache_file = cache_file_name(image_id)
         apply_to_nodes(
             getattr(cluster, "replicas", None),
             [node],
@@ -238,7 +239,7 @@ class PlacementCoordinator:
         origin = cluster.storage.primary
         moved = 0
         for image_id in self.directory.images_of(node.name):
-            cache_file = f"cache-{image_id:05d}"
+            cache_file = cache_file_name(image_id)
             if node.ccvolume.has_file(cache_file):
                 continue
             rows = self._rows.get(image_id)

@@ -62,7 +62,6 @@ def _build_rig(
     trace: bool,
     metrics_interval_s: float = 5.0,
     dataset: AzureCommunityDataset | ImageCatalog | None = None,
-    estimator=None,
     placement_factory=None,
     sharding_factory=None,
 ) -> _Rig:
@@ -70,9 +69,8 @@ def _build_rig(
     cluster = IaaSCluster.build(
         n_compute=n_compute, n_storage=n_storage, block_size=block_size, link=link
     )
-    estimator = estimator or make_estimator(
-        "gzip6", (block_size,), samples_per_point=2
-    )
+    # calibrated once per process (make_estimator is cached)
+    estimator = make_estimator("gzip6", (block_size,), samples_per_point=2)
     squirrel = Squirrel(cluster=cluster, estimator=estimator, catalog=catalog)
     if placement_factory is not None:
         # attach before TimedSquirrel so _instrument sees the coordinator

@@ -23,6 +23,7 @@ from ..common.hashing import derive_seed
 from ..common.report import ReportBase
 from ..common.rng import stream as rng_stream
 from ..core.cluster import ComputeNode
+from ..core.squirrel import vmi_file_name
 from ..faults import FaultInjector, FaultPlan
 from ..net import GBE_1, LinkProfile
 from ..obs import (
@@ -39,7 +40,6 @@ from ..vmi import (
     ImageCatalog,
     LazyImageCatalog,
     as_catalog,
-    make_estimator,
 )
 from ..placement import PlacementContext
 from .arrivals import DAY_S, diurnal_arrivals, flash_crowd_arrivals, poisson_arrivals
@@ -215,7 +215,6 @@ def _run_storm_side(
     *,
     with_caches: bool,
     catalog: ImageCatalog,
-    estimator,
     arrivals: StormArrivals,
     placement_factory=None,
     sharding_factory=None,
@@ -233,7 +232,6 @@ def _run_storm_side(
             trace=config.trace,
             metrics_interval_s=config.metrics_interval_s,
             dataset=catalog,
-            estimator=estimator,
             placement_factory=placement_factory if with_caches else None,
             sharding_factory=sharding_factory if with_caches else None,
         )
@@ -247,7 +245,7 @@ def _run_storm_side(
         else:
             # the baseline never registers: only the base VMIs exist on the FS
             for spec in catalog.specs[:n_images]:
-                gluster.create_file(f"vmi-{spec.image_id:05d}", spec.nonzero_bytes)
+                gluster.create_file(vmi_file_name(spec.image_id), spec.nonzero_bytes)
         squirrel.cluster.ledger.clear()
         if config.faults is not None:
             FaultInjector(timed, config.faults).start()
@@ -296,16 +294,15 @@ def boot_storm(
     config: StormConfig = StormConfig(),
     *,
     dataset: AzureCommunityDataset | ImageCatalog | None = None,
-    estimator=None,
     trace_path=None,
     placement_factory=None,
     sharding_factory=None,
 ) -> StormReport:
     """Run the same flash crowd with Squirrel and without caches.
 
-    ``dataset``/``estimator`` let a caller that already owns them (the
-    experiment registry's shared context) avoid rebuilding the full image
-    dataset per run; they must match ``config.scale``/``config.block_size``.
+    ``dataset`` lets a caller that already owns one (the experiment
+    registry's shared context) avoid rebuilding the full image dataset per
+    run; it must match ``config.scale``.
     With a ``trace_path``, both sides' spans are exported there as one
     Chrome trace-event JSON file (processes ``squirrel``/``baseline``).
 
@@ -323,16 +320,12 @@ def boot_storm(
     catalog = as_catalog(dataset) or LazyImageCatalog(
         DatasetConfig(scale=config.scale)
     )
-    estimator = estimator or make_estimator(
-        "gzip6", (config.block_size,), samples_per_point=2
-    )
     arrivals = storm_arrivals(config, catalog)
     sides = {}
     tracers = {}
     for with_caches in (True, False):
         side, tracer = _run_storm_side(
-            config, with_caches=with_caches, catalog=catalog,
-            estimator=estimator, arrivals=arrivals,
+            config, with_caches=with_caches, catalog=catalog, arrivals=arrivals,
             placement_factory=placement_factory,
             sharding_factory=sharding_factory,
         )

@@ -31,7 +31,6 @@ from ..vmi import (
     ImageCatalog,
     LazyImageCatalog,
     as_catalog,
-    make_estimator,
 )
 from .scenarios import (
     StormConfig,
@@ -91,9 +90,7 @@ def shard_storm(
     shards: int,
     grouping: str = "tenant",
     quota_mb: int = 0,
-    threshold: float | None = None,
     dataset: AzureCommunityDataset | ImageCatalog | None = None,
-    estimator=None,
     trace_path=None,
 ) -> ShardStormOutcome:
     """Run the grouped-vs-global sharding comparison.
@@ -109,16 +106,12 @@ def shard_storm(
     catalog = as_catalog(dataset) or LazyImageCatalog(
         DatasetConfig(scale=config.scale)
     )
-    estimator = estimator or make_estimator(
-        "gzip6", (config.block_size,), samples_per_point=2
-    )
     arrivals = storm_arrivals(config, catalog)
     specs = catalog.specs[: arrivals.n_registered]
     # tenant-mode plans group what the trace actually boots
     owners = tuple(int(t) for t in arrivals.population.image_owners())
-    kwargs = {"threshold": threshold} if threshold is not None else {}
-    shard_plan = build_plan(specs, shards, grouping, owners=owners, **kwargs)
-    global_plan = build_plan(specs, 1, grouping, owners=owners, **kwargs)
+    shard_plan = build_plan(specs, shards, grouping, owners=owners)
+    global_plan = build_plan(specs, 1, grouping, owners=owners)
     # quotas: the storage datasets hold size-scaled bytes, the node ARCs
     # charge paper-scale bytes — convert once here, at the boundary
     quota_scaled = int(quota_mb * MiB * config.scale)
@@ -134,7 +127,6 @@ def shard_storm(
     report = boot_storm(
         config,
         dataset=catalog,
-        estimator=estimator,
         trace_path=trace_path,
         sharding_factory=lambda _squirrel: grouped_router,
     )
@@ -150,7 +142,6 @@ def shard_storm(
         config,
         with_caches=True,
         catalog=catalog,
-        estimator=estimator,
         arrivals=arrivals,
         sharding_factory=lambda _squirrel: global_router,
     )

@@ -48,7 +48,8 @@ from ..core import Squirrel
 from ..core.squirrel import (
     REGISTRATION_BOOT_SECONDS,
     SNAPSHOT_CREATE_SECONDS,
-    cold_read_bytes,
+    cache_file_name,
+    cold_read,
 )
 from ..disk import DAS4_RAID0, DiskModel, TimedDisk
 from ..faults import FaultInjector
@@ -68,6 +69,8 @@ DECOMPRESS_BYTES_PER_S = 250e6
 DISK_SPAN_BYTES = 1 << 40
 #: in-memory ARC budget per compute node (matches the cVolume boot backend)
 ARC_BYTES_PER_NODE = 256 << 20
+#: decompression cores per compute node
+CPU_CORES_PER_NODE = 2
 #: fixed bucket layout (seconds) shared by every latency histogram family —
 #: declared, never data-derived, so expositions diff cleanly across runs
 LATENCY_BUCKETS = (
@@ -90,16 +93,15 @@ def _disk_offset(size: int, *key) -> int:
 
 class _InflightBoot:
     """Book-keeping handle for one boot in flight: what the fault injector
-    needs to preempt it (the process) and to target it (which bricks or
-    peer holders its current fetch is streaming from)."""
+    needs to preempt it (the process) and to target it (the bricks or the
+    peer holder its current fetch is streaming from)."""
 
-    __slots__ = ("node_name", "process", "bricks", "peers")
+    __slots__ = ("node_name", "process", "sources")
 
     def __init__(self, node_name: str) -> None:
         self.node_name = node_name
         self.process = None  #: set right after engine.process() creates it
-        self.bricks: set[str] = set()
-        self.peers: set[str] = set()  #: placement peer(s) serving this fetch
+        self.sources: set[str] = set()
 
 
 class _BootTrace:
@@ -517,17 +519,14 @@ class TimedSquirrel:
         engine: Engine,
         timeline: Timeline,
         *,
-        tracer: SpanTracer | None = None,
         metrics: MetricsRegistry | None = None,
-        cpu_cores_per_node: int = 2,
-        arc_bytes_per_node: int = ARC_BYTES_PER_NODE,
     ) -> None:
         self.squirrel = squirrel
         #: eager datasets are adapted (specs shared, nothing recomputed)
         self.catalog = as_catalog(dataset)
         self.engine = engine
         self.timeline = timeline
-        self.tracer = tracer or SpanTracer(engine)
+        self.tracer = SpanTracer(engine)
         self.metrics = metrics or MetricsRegistry()
         #: timed transfers replay the paper-scale byte counts
         self.scale_up = self.catalog.scaled_up
@@ -553,7 +552,7 @@ class TimedSquirrel:
         }
         self.cpu: dict[str, Resource] = {
             node.name: Resource(
-                engine, cpu_cores_per_node, name=f"cpu:{node.name}",
+                engine, CPU_CORES_PER_NODE, name=f"cpu:{node.name}",
                 timeline=timeline,
             )
             for node in cluster.compute
@@ -566,7 +565,7 @@ class TimedSquirrel:
         #: ARC: the hot path routes no block.
         plan = squirrel.cvolume.plan
         per_shard = getattr(squirrel.sharding, "arc_bytes_per_shard", None)
-        per_shard = per_shard or max(1, arc_bytes_per_node // plan.n_shards)
+        per_shard = per_shard or max(1, ARC_BYTES_PER_NODE // plan.n_shards)
         #: node name -> shard -> that shard's ARC slice
         self.shard_arcs: dict[str, dict[str, AdaptiveReplacementCache]] = {
             node.name: {
@@ -798,23 +797,15 @@ class TimedSquirrel:
         """Boots currently in flight on one compute node (snapshot)."""
         return list(self._inflight.get(node_name, ()))
 
-    def inflight_on_brick(self, brick_name: str) -> list[_InflightBoot]:
-        """Boots with a fetch currently streaming from one brick (snapshot)."""
+    def inflight_from(self, source: str) -> list[_InflightBoot]:
+        """Boots with a fetch currently streaming from one brick or peer
+        holder (snapshot) — what a failure of that source must preempt.
+        Brick and compute-node names never overlap."""
         return [
             boot
             for boots in self._inflight.values()
             for boot in boots
-            if brick_name in boot.bricks
-        ]
-
-    def inflight_from_peer(self, peer_name: str) -> list[_InflightBoot]:
-        """Boots currently streaming a redirect from one peer holder
-        (snapshot) — what a crash of that holder must preempt."""
-        return [
-            boot
-            for boots in self._inflight.values()
-            for boot in boots
-            if peer_name in boot.peers
+            if source in boot.sources
         ]
 
     # -- timed operations (each returns a yieldable Process) ----------------------
@@ -900,10 +891,9 @@ class TimedSquirrel:
         if force_cold:
             # the "w/o caches" baseline: the boot set crosses the network
             # even when a cache exists (Figure 18's comparison series)
-            spec = self.catalog.spec(image_id)
-            moved, plan = self.squirrel.cluster.storage.gluster.read_with_plan(
-                f"vmi-{image_id:05d}", 0, cold_read_bytes(spec),
-                reader=node_name, purpose="boot-read",
+            moved, plan = cold_read(
+                self.squirrel.cluster.storage.gluster,
+                self.catalog.spec(image_id), node_name,
             )
             cache_hit = False
         else:
@@ -936,9 +926,7 @@ class TimedSquirrel:
         it — zero network involvement either way."""
         node = self.squirrel.cluster.node(node_name)
         chain = self.squirrel.cvolume.chain_of(image_id)
-        cache = node.pool.dataset(chain.cc_name).file(
-            self.squirrel.cache_file_of(image_id)
-        )
+        cache = node.pool.dataset(chain.cc_name).file(cache_file_name(image_id))
         arc = self.arc[node_name]
         before = arc.stats.as_dict()
         lookup = bt.child("arc.lookup", image_id=image_id)
@@ -982,14 +970,8 @@ class TimedSquirrel:
             return  # pure memory boot: every record was ARC-resident
         physical = int(self.scale_up(missed_physical))
         logical = int(self.scale_up(missed_logical))
-        disk_span = bt.child("disk.read", n_bytes=physical)
-        service = yield self.disk[node_name].read(
-            _disk_offset(physical, image_id), physical
-        )
-        bt.att.charge_split(service, "disk_s")
-        disk_span.end(
-            service_s=service,
-            queue_s=max(0.0, self.engine.now - disk_span.start_s - service),
+        yield from self._disk_io(
+            bt, node_name, "read", _disk_offset(physical, image_id), physical
         )
         zio = bt.child("zio.decompress", n_bytes=logical)
         grant = self.cpu[node_name].request()
@@ -1010,115 +992,96 @@ class TimedSquirrel:
             self.cpu[node_name].release()
         zio.end(queue_s=queue_s)
 
+    def _disk_io(self, bt, node_name: str, op: str, offset: int, n_bytes: int):
+        """One local-disk ``read`` or ``write``, spanned and charged to
+        ``disk_s`` (its queueing share to ``wait_s``)."""
+        span = bt.child(f"disk.{op}", n_bytes=n_bytes)
+        service = yield getattr(self.disk[node_name], op)(offset, n_bytes)
+        bt.att.charge_split(service, "disk_s")
+        span.end(
+            service_s=service,
+            queue_s=max(0.0, self.engine.now - span.start_s - service),
+        )
+
     def _cold_fetch(self, node_name: str, moved: int, plan, handle, bt):
         """Cache miss: the boot set streams from the bricks through the
         node's NIC, then lands on the local disk (copy-on-read)."""
-        gluster = self.squirrel.cluster.storage.gluster
+        degraded = self.squirrel.cluster.storage.gluster.degraded
         total = int(self.scale_up(moved))
         self.record("cold_read_bytes", moved, node=node_name)
-        fetch = bt.child(
-            "gluster.fetch", n_bytes=total, degraded=gluster.degraded
-        )
-        flows: list[tuple[Pipe, Event]] = []
-        try:
-            for node, n_bytes in plan:
-                pipe = self.brick[node.name]
-                n_scaled = int(self.scale_up(n_bytes))
-                span = bt.child(
-                    "gluster.transfer", parent=fetch, replica=node.name,
-                    n_bytes=n_scaled, degraded=gluster.degraded,
-                )
-                event = pipe.transfer(n_scaled)
-                event._wait(lambda _e, s=span: s.end())
-                flows.append((pipe, event))
-                handle.bricks.add(node.name)
-            nic = self.nic[node_name]
-            nic_span = bt.child("nic.transfer", parent=fetch, n_bytes=total)
-            nic_event = nic.transfer(total)
-            nic_event._wait(lambda _e, s=nic_span: s.end())
-            flows.append((nic, nic_event))
-            yield self.engine.all_of([event for _pipe, event in flows])
-            bt.att.charge("net_s")
-            fetch.end()
-            disk_span = bt.child("disk.write", n_bytes=total)
-            service = yield self.disk[node_name].write(
-                _disk_offset(total, node_name), total
+        fetch = bt.child("gluster.fetch", n_bytes=total, degraded=degraded)
+        sources = []
+        for node, n_bytes in plan:
+            n_scaled = int(self.scale_up(n_bytes))
+            span = bt.child(
+                "gluster.transfer", parent=fetch, replica=node.name,
+                n_bytes=n_scaled, degraded=degraded,
             )
-            bt.att.charge_split(service, "disk_s")
-            disk_span.end(
-                service_s=service,
-                queue_s=max(
-                    0.0, self.engine.now - disk_span.start_s - service
-                ),
-            )
-        except Interrupted:
-            # the fetch died with the node/brick: withdraw the half-done
-            # flows so surviving transfers get their bandwidth share back
-            for pipe, event in flows:
-                pipe.cancel(event)
-            raise
-        finally:
-            handle.bricks.clear()
+            sources.append((node.name, self.brick[node.name], n_scaled, span))
+        yield from self._fetch(node_name, total, fetch, sources, handle, bt)
 
     def _peer_fetch(self, outcome, node_name: str, handle, bt):
         """Placement redirect: the cache slice streams from the holder's NIC
         into the reader's NIC, then lands on the local disk — the glusterfs
         bricks never see the read. A crash of the holder preempts the flow
-        (via :meth:`inflight_from_peer`); the retry re-picks a survivor."""
+        (via :meth:`inflight_from`); the retry re-picks a survivor."""
         peer_name = outcome.peer
         total = int(self.scale_up(outcome.network_bytes))
         self.record("peer_redirects", node=node_name)
         self.record("redirect_bytes", outcome.network_bytes)
-        redirect = bt.child(
-            "placement.redirect", peer=peer_name, n_bytes=total
+        redirect = bt.child("placement.redirect", peer=peer_name, n_bytes=total)
+        span = bt.child(
+            "nic.transfer", parent=redirect, n_bytes=total, role="peer"
         )
+        yield from self._fetch(
+            node_name, total, redirect,
+            [(peer_name, self.nic[peer_name], total, span)], handle, bt,
+            role="reader",
+        )
+        if outcome.adopted:
+            adopt = bt.child(
+                "placement.adopt", image_id=outcome.image_id, n_bytes=total
+            )
+            self.record("adoptions", node=node_name)
+            self.record("adopted_bytes", outcome.network_bytes)
+            adopt.end()
+
+    def _fetch(self, node_name: str, total: int, parent, sources, handle, bt,
+               **reader):
+        """Copy-on-read over the network: every source pipe streams its
+        share while the reader's NIC ingests ``total`` bytes; once all flows
+        drain, ``parent`` ends and the bytes land on the local disk.
+        ``sources`` holds ``(name, pipe, scaled bytes, span)`` per source;
+        ``reader`` tags the reader's NIC span. A fault that kills the reader
+        or a source (found via :meth:`inflight_from`) withdraws the half-done
+        flows so surviving transfers get their bandwidth share back."""
         flows: list[tuple[Pipe, Event]] = []
         try:
-            peer_pipe = self.nic[peer_name]
-            peer_span = bt.child(
-                "nic.transfer", parent=redirect, n_bytes=total, role="peer"
-            )
-            peer_event = peer_pipe.transfer(total)
-            peer_event._wait(lambda _e, s=peer_span: s.end())
-            flows.append((peer_pipe, peer_event))
-            handle.peers.add(peer_name)
+            for name, pipe, n_bytes, span in sources:
+                flows.append((pipe, self._flow(pipe, n_bytes, span)))
+                handle.sources.add(name)
             nic = self.nic[node_name]
-            nic_span = bt.child(
-                "nic.transfer", parent=redirect, n_bytes=total, role="reader"
-            )
-            nic_event = nic.transfer(total)
-            nic_event._wait(lambda _e, s=nic_span: s.end())
-            flows.append((nic, nic_event))
+            span = bt.child("nic.transfer", parent=parent, n_bytes=total, **reader)
+            flows.append((nic, self._flow(nic, total, span)))
             yield self.engine.all_of([event for _pipe, event in flows])
             bt.att.charge("net_s")
-            redirect.end()
-            disk_span = bt.child("disk.write", n_bytes=total)
-            service = yield self.disk[node_name].write(
-                _disk_offset(total, node_name), total
+            parent.end()
+            yield from self._disk_io(
+                bt, node_name, "write", _disk_offset(total, node_name), total
             )
-            bt.att.charge_split(service, "disk_s")
-            disk_span.end(
-                service_s=service,
-                queue_s=max(
-                    0.0, self.engine.now - disk_span.start_s - service
-                ),
-            )
-            if outcome.adopted:
-                adopt = bt.child(
-                    "placement.adopt", image_id=outcome.image_id,
-                    n_bytes=total,
-                )
-                self.record("adoptions", node=node_name)
-                self.record("adopted_bytes", outcome.network_bytes)
-                adopt.end()
         except Interrupted:
-            # the redirect died with the reader or its peer: withdraw the
-            # half-done flows; the retry consults the directory again
             for pipe, event in flows:
                 pipe.cancel(event)
             raise
         finally:
-            handle.peers.clear()
+            handle.sources.clear()
+
+    @staticmethod
+    def _flow(pipe: Pipe, n_bytes: int, span):
+        """Start one transfer on ``pipe``; ``span`` ends when it drains."""
+        event = pipe.transfer(n_bytes)
+        event._wait(lambda _e: span.end())
+        return event
 
     def register(self, spec):
         """One timed registration; observes ``register_latency_s``."""

@@ -52,7 +52,6 @@ class ZPool:
         *,
         capacity: int = 1024 * GiB,
         arc_capacity: int = 1 * GiB,
-        store_payloads: bool = True,
     ) -> None:
         self.name = name
         self.space = SpaceMap(capacity=capacity)
@@ -61,10 +60,7 @@ class ZPool:
         self.arc: AdaptiveReplacementCache[str, bytes] = AdaptiveReplacementCache(
             arc_capacity
         )
-        self.zio = ZioPipeline(
-            self.space, self.ddt, self.plain, store_payloads=store_payloads
-        )
-        self._store_payloads = store_payloads
+        self.zio = ZioPipeline(self.space, self.ddt, self.plain)
         #: named dedup *domains*: each is an independent DedupTable (plus a
         #: pipeline over the shared space map). ``None``/absent -> the global
         #: ``self.ddt``/``self.zio`` every dataset used before sharding.
@@ -79,12 +75,7 @@ class ZPool:
         entry = self._domains.get(name)
         if entry is None:
             ddt = DedupTable()
-            zio = ZioPipeline(
-                self.space,
-                ddt,
-                DedupTable(),
-                store_payloads=self._store_payloads,
-            )
+            zio = ZioPipeline(self.space, ddt, DedupTable())
             entry = self._domains[name] = (ddt, zio)
         return entry
 

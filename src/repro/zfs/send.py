@@ -97,14 +97,14 @@ def generate_send(
     to_snapshot: str,
     *,
     from_snapshot: str | None = None,
-    include_payloads: bool = True,
 ) -> SendStream:
     """Build a (full or incremental) send stream.
 
     An incremental stream contains every block of ``to_snapshot`` whose birth
     txg is newer than ``from_snapshot``'s txg — exactly ZFS's rule — plus
-    unlink/truncate records for namespace changes. ``include_payloads=False``
-    skips copying materialised payload bytes (accounting-only streams).
+    unlink/truncate records for namespace changes. A WRITE record carries
+    the block's bytes exactly when the pool stores them: materialised blocks
+    travel with their payload, virtual ones as signature + sizes.
     """
     to_snap = _snapshot_or_error(dataset, to_snapshot)
     if from_snapshot is None:
@@ -159,9 +159,6 @@ def generate_send(
                     )
                 )
                 continue
-            payload: bytes | None = None
-            if include_payloads and bp.checksum.startswith(("b:", "a:")):
-                payload = dataset.pool.zio.read_bytes(bp)
             stream.records.append(
                 SendRecord(
                     RecordKind.WRITE,
@@ -171,7 +168,7 @@ def generate_send(
                     lsize=bp.lsize,
                     psize=bp.psize,
                     compression=bp.compression,
-                    payload=payload,
+                    payload=dataset.zio.stored_bytes(bp),
                 )
             )
     return stream

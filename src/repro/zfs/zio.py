@@ -50,13 +50,10 @@ class ZioPipeline:
         space: SpaceMap,
         dedup_table: DedupTable,
         plain_table: DedupTable,
-        *,
-        store_payloads: bool = True,
     ) -> None:
         self.space = space
         self.ddt = dedup_table
         self.plain = plain_table
-        self.store_payloads = store_payloads
         #: checksum -> compressed payload, for the bytes read path
         self._blockstore: dict[str, bytes] = {}
         self._plain_serial = 0
@@ -84,9 +81,8 @@ class ZioPipeline:
             result = self._dedup_write(checksum, lsize, psize, txg, compression)
         else:
             result = self._plain_write(lsize, psize, txg, compression)
-        if self.store_payloads:
-            payload = codec.compress(data) if psize < lsize else data
-            self._blockstore.setdefault(result.bp.checksum, payload)
+        payload = codec.compress(data) if psize < lsize else data
+        self._blockstore.setdefault(result.bp.checksum, payload)
         return result
 
     def write_virtual(
@@ -159,6 +155,13 @@ class ZioPipeline:
         if entry is None:
             raise StorageError(f"dangling block pointer {bp.checksum}")
         return entry.dva
+
+    def stored_bytes(self, bp: BlockPointer) -> bytes | None:
+        """The logical bytes of ``bp`` when the pool stores its payload;
+        ``None`` for virtual blocks and holes, which carry none."""
+        if bp.checksum not in self._blockstore:
+            return None
+        return self.read_bytes(bp)
 
     def read_bytes(self, bp: BlockPointer) -> bytes:
         """Return the logical bytes of a materialised block pointer."""

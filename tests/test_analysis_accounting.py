@@ -30,7 +30,7 @@ class TestEquivalenceWithObjectPipeline:
         """The accountant must agree with the ZIO/DDT object pipeline on
         DDT entries, allocated bytes, disk, and memory."""
         accountant = PoolAccountant(estimator)
-        pool = ZPool(capacity=1 << 40, store_payloads=False)
+        pool = ZPool(capacity=1 << 40)
         vol = pool.create_dataset("cc", record_size=65536, dedup=True)
         for index, view in enumerate(views):
             psizes = view.psizes(estimator)

@@ -16,7 +16,7 @@ from repro.zfs import ZPool
 
 
 def blank_pool() -> ZPool:
-    pool = ZPool("ccpool", capacity=1 << 40, store_payloads=False)
+    pool = ZPool("ccpool", capacity=1 << 40)
     pool.create_dataset(CCVOLUME, record_size=65536)
     return pool
 

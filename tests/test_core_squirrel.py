@@ -13,7 +13,7 @@ hold verbatim; ids from 12 up fall back to ``id % 3`` and
 
 import pytest
 
-from repro.common.errors import RegistrationError
+from repro.common.errors import ConfigError, RegistrationError
 from repro.core import IaaSCluster, Squirrel, run_boot_storm
 from repro.shard import ShardPlan, ShardRouter, shard_name
 from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
@@ -396,7 +396,7 @@ class TestThreeShards:
         assert squirrel.collect_garbage() == ["s00@v00001"]
         moved = squirrel.resync_node("compute2")
         full = generate_send(
-            scvol_of(squirrel, 15), "v00002", include_payloads=False
+            scvol_of(squirrel, 15), "v00002"
         )
         assert moved == full.size_bytes  # s01/s02 were already in sync
         assert self.chain(cc_of(squirrel, node, 15)) == ["v00002"]
@@ -453,6 +453,38 @@ class TestRegistrationWorkflowTime:
         squirrel, dataset = rig
         record = squirrel.register(dataset.images[0])
         assert record.workflow_seconds < 60.0
+
+
+class _StubCatalog:
+    """A catalog that owns ``specs``: ``spec`` raises the real catalog's
+    ``ConfigError`` for any other id, and every ``block_view`` call fails."""
+
+    def __init__(self, *specs):
+        self._by_id = {spec.image_id: spec for spec in specs}
+
+    def spec(self, image_id):
+        if image_id not in self._by_id:
+            raise ConfigError(f"image {image_id} is not in the catalog")
+        return self._by_id[image_id]
+
+    def block_view(self, image_id, block_size, subject="caches"):
+        raise RuntimeError("memoised view failed")
+
+
+class TestCatalogViews:
+    def test_view_failure_propagates_out_of_register(self, rig):
+        """A failure inside the catalog's memoised view is not swallowed
+        by an inline rebuild."""
+        squirrel, dataset = rig
+        squirrel.catalog = _StubCatalog(dataset.images[0])
+        with pytest.raises(RuntimeError, match="memoised view failed"):
+            squirrel.register(dataset.images[0])
+
+    def test_unknown_id_builds_inline(self, rig):
+        squirrel, dataset = rig
+        squirrel.catalog = _StubCatalog()
+        record = squirrel.register(dataset.images[0])
+        assert record.cache_bytes == dataset.images[0].cache_bytes
 
 
 class TestPoolDescribe:

@@ -32,7 +32,7 @@ class TestCleanPools:
         assert report.payloads_verified >= 2
 
     def test_virtual_pool_is_clean(self):
-        pool = ZPool(capacity=64 << 20, store_payloads=False)
+        pool = ZPool(capacity=64 << 20)
         ds = pool.create_dataset("d", record_size=4096, dedup=True)
         ds.write_file_virtual("f", [(7, 4096, 512, False), (8, 4096, 512, False)])
         ds.snapshot("s1")

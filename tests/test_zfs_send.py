@@ -147,6 +147,22 @@ class TestVirtualStreams:
         assert dst_pool.data_bytes == used
         assert dst_pool.ddt.lookup("v:" + format(11, "016x")).refcount == 2
 
+    def test_payload_travels_exactly_when_the_pool_stores_one(self):
+        """Materialised blocks carry their bytes, virtual ones (even plain,
+        non-dedup ones) travel payload-free."""
+        pool = make_pool()
+        src = pool.create_dataset("scvol", record_size=4096, dedup=False)
+        src.write_file("real", block(1))
+        src.write_file_virtual("virtual", [(11, 4096, 512, False)])
+        src.snapshot("v1")
+        writes = {
+            record.file_name: record
+            for record in generate_send(src, "v1").records
+            if record.kind is RecordKind.WRITE
+        }
+        assert writes["real"].payload == block(1)
+        assert writes["virtual"].payload is None
+
     def test_hole_records_apply(self):
         pool = make_pool()
         src = pool.create_dataset("scvol", record_size=4096)
