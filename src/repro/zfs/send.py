@@ -126,14 +126,22 @@ def generate_send(
     )
     for file_name in sorted(from_files.keys() - to_snap.files.keys()):
         stream.records.append(SendRecord(RecordKind.UNLINK, file_name))
-    for file_name in sorted(to_snap.files):
+    created = to_snap.file_created
+    # a file whose frozen view is shared by both snapshots, and which was
+    # not re-created between them, has no block born after the source:
+    # skip it before any per-block walk
+    changed = [
+        name
+        for name, blocks in to_snap.files.items()
+        if from_files.get(name) is not blocks or created[name] > from_txg
+    ]
+    for file_name in sorted(changed):
         blocks = to_snap.files[file_name]
         old_blocks = from_files.get(file_name)
         # a file created after the source snapshot is brand new even when a
         # same-named file existed before (delete + re-create between the two
         # snapshots): the replica must drop the old object first
-        created_txg = to_snap.file_created.get(file_name, 0)
-        is_new_file = old_blocks is None or created_txg > from_txg
+        is_new_file = old_blocks is None or created[file_name] > from_txg
         if old_blocks is not None and is_new_file:
             stream.records.append(SendRecord(RecordKind.UNLINK, file_name))
         if is_new_file or len(blocks) != len(old_blocks):
@@ -209,7 +217,7 @@ def _apply_record(dataset: Dataset, record: SendRecord) -> None:
             dataset.delete_file(record.file_name)
         return
     if record.kind is RecordKind.TRUNCATE:
-        _apply_truncate(dataset, record)
+        dataset.truncate_file(record.file_name, record.block_count)
         return
     # WRITE
     if record.checksum is None:
@@ -237,14 +245,6 @@ def _apply_record(dataset: Dataset, record: SendRecord) -> None:
             f"materialised record for {record.file_name}#{record.block_index} "
             "has no payload"
         )
-
-
-def _apply_truncate(dataset: Dataset, record: SendRecord) -> None:
-    if not dataset.has_file(record.file_name):
-        dataset.create_file(record.file_name)
-    obj = dataset.file(record.file_name)
-    for bp in obj.truncate(record.block_count):
-        dataset._kill(bp)  # noqa: SLF001 - dataset-internal cooperation
 
 
 def iter_write_checksums(stream: SendStream) -> Iterable[str]:
