@@ -198,6 +198,11 @@ class MetricFamily:
             child = self._children[key] = self._make_child()
         return child
 
+    @property
+    def n_children(self) -> int:
+        """Children created so far (children are never removed)."""
+        return len(self._children)
+
     def samples(self) -> list[tuple[tuple[str, ...], Any]]:
         """``(label values, instrument)`` pairs in sorted label order."""
         return sorted(self._children.items())

@@ -2,11 +2,12 @@
 
 A :class:`Sampler` runs *inside* the event engine: every ``interval_s``
 simulated seconds it reads every gauge of its registry (callback gauges
-evaluate live simulation state) and appends one sample per series into the
-:class:`~repro.metrics.store.TimeSeriesStore`. Scraping is a pure read —
-it never mutates simulation state — so enabling it cannot change any
-byte-accounting result, and because its wake-ups go through the engine's
-deterministic queue the sampled trajectories are bit-reproducible per seed.
+evaluate live simulation state) and appends one column per gauge family,
+one sample per child, into the :class:`~repro.metrics.store.TimeSeriesStore`.
+Scraping is a pure read — it never mutates simulation state — so enabling
+it cannot change any byte-accounting result, and because its wake-ups go
+through the engine's deterministic queue the sampled trajectories are
+bit-reproducible per seed.
 
 Termination: the sampler scrapes once at start, then re-arms only while
 other events are pending; the tick that finds the queue otherwise drained
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from ..common.errors import ConfigError
 from ..sim import Engine, Process
-from .instruments import MetricsRegistry
+from .instruments import Gauge, MetricsRegistry
 from .store import TimeSeriesStore
 
 __all__ = ["Sampler"]
@@ -45,21 +46,32 @@ class Sampler:
         self.interval_s = float(interval_s)
         #: scrape rounds completed (each touches every gauge once)
         self.scrapes = 0
+        #: family name -> its resolved (label column, gauges); re-resolved
+        #: only when the family gains children
+        self._columns: dict[str, tuple[tuple, list[Gauge]]] = {}
 
     def scrape(self) -> None:
-        """One scrape round: read every gauge, stamp with the sim clock."""
+        """One scrape round: read every gauge, stamp with the sim clock,
+        and append one column per gauge family that has children."""
         now = self.engine.now
         for family in self.registry.families():
-            if family.kind != "gauge":
+            if family.kind != "gauge" or not family.n_children:
                 continue
-            for label_values, gauge in family.samples():
-                self.store.append(
-                    family.name,
-                    tuple(zip(family.label_names, label_values)),
-                    now,
-                    gauge.read(),
-                )
+            column = self._columns.get(family.name)
+            if column is None or len(column[0]) != family.n_children:
+                column = self._columns[family.name] = self._resolve(family)
+            labels, gauges = column
+            self.store.append(family.name, labels, now, [g.read() for g in gauges])
         self.scrapes += 1
+
+    @staticmethod
+    def _resolve(family) -> tuple[tuple, list[Gauge]]:
+        """A family's label column and gauges, in sorted label order."""
+        samples = family.samples()
+        labels = tuple(
+            tuple(zip(family.label_names, values)) for values, _ in samples
+        )
+        return labels, [gauge for _, gauge in samples]
 
     def start(self) -> Process:
         """Spawn the sampling process (call before ``engine.run()``)."""

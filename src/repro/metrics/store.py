@@ -4,6 +4,7 @@ One :class:`TimeSeriesStore` per run holds every series the
 :class:`~repro.metrics.sampler.Sampler` scrapes: a series is identified by
 ``(metric name, label assignment)`` and stored as two parallel columns —
 sample times (simulated seconds) and values — bounded by a ring capacity.
+A scrape writes one family's column at a time: one value per child.
 When the ring wraps, the *oldest* samples fall off and the series records
 how many were dropped, so a truncated trajectory is visible instead of
 silently passing for a complete one.
@@ -12,6 +13,7 @@ silently passing for a complete one.
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 from ..common.errors import ConfigError
 
@@ -37,23 +39,44 @@ class TimeSeriesStore:
             raise ConfigError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._series: dict[tuple[str, tuple[tuple[str, str], ...]], _Series] = {}
+        #: name -> (the label column last appended, its resolved series)
+        self._columns: dict[str, tuple[tuple, list[_Series]]] = {}
 
     def append(
         self,
         name: str,
-        labels: tuple[tuple[str, str], ...],
+        labels: tuple[tuple[tuple[str, str], ...], ...],
         t: float,
-        value: float,
+        values: Sequence[float],
     ) -> None:
-        """Record one sample of one series at simulated time ``t``."""
+        """Record one column of one family at simulated time ``t``:
+        ``values[i]`` is the sample of the series labelled ``labels[i]``.
+
+        The series are resolved once per ``labels`` object: a caller that
+        passes the same column again pays no per-series lookup."""
+        if len(values) != len(labels):
+            raise ConfigError(
+                f"{name}: {len(values)} values for {len(labels)} series"
+            )
+        cached = self._columns.get(name)
+        if cached is None or cached[0] is not labels:
+            cached = self._columns[name] = (
+                labels, [self._resolve(name, one) for one in labels]
+            )
+        t = float(t)
+        capacity = self.capacity
+        for series, value in zip(cached[1], values):
+            if len(series.t) == capacity:
+                series.dropped += 1
+            series.t.append(t)
+            series.v.append(float(value))
+
+    def _resolve(self, name: str, labels: tuple[tuple[str, str], ...]) -> _Series:
         key = (name, tuple(sorted(labels)))
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = _Series(self.capacity)
-        if len(series.t) == self.capacity:
-            series.dropped += 1
-        series.t.append(float(t))
-        series.v.append(float(value))
+        return series
 
     @property
     def n_series(self) -> int:

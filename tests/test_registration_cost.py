@@ -1,0 +1,75 @@
+"""Registration cost scales with what changed, not with the catalog.
+
+Over one small flash crowd (8 nodes × 4 VMs, both sides), two counts are
+checked against what each step touched:
+
+* every ``Dataset.snapshot`` builds a view only for a file whose view was
+  invalidated since it was last built — a file created, written, deleted
+  or truncated since the previous snapshot — so the views built over the
+  registrations grow linearly with them, not quadratically;
+* every sampler scrape writes one column per gauge family that has
+  children, not one sample per child.
+"""
+
+from repro.core.squirrel import Squirrel
+from repro.metrics import Sampler, TimeSeriesStore
+from repro.workload import StormConfig, boot_storm
+from repro.zfs import Dataset
+from repro.zfs.dmu import FileObject
+
+
+def test_snapshot_views_and_scrape_appends_follow_what_changed(monkeypatch):
+    counts = {"views": 0, "dirty": 0, "snapshots": 0, "registrations": 0,
+              "appends": 0, "scrapes": 0, "columns": 0}
+    raw_view = FileObject.snapshot_view
+    raw_snapshot = Dataset.snapshot
+    raw_register = Squirrel.register
+    raw_scrape = Sampler.scrape
+    raw_append = TimeSeriesStore.append
+
+    def snapshot_view(self):
+        counts["views"] += 1
+        return raw_view(self)
+
+    def snapshot(self, name):
+        # files whose memoised view was dropped since it was last built
+        counts["dirty"] += sum(
+            1 for obj in self._files.values() if obj._view is None  # noqa: SLF001
+        )
+        counts["snapshots"] += 1
+        return raw_snapshot(self, name)
+
+    def register(self, *args, **kwargs):
+        counts["registrations"] += 1
+        return raw_register(self, *args, **kwargs)
+
+    def append(self, *args, **kwargs):
+        counts["appends"] += 1
+        return raw_append(self, *args, **kwargs)
+
+    def scrape(self):
+        before = counts["appends"]
+        raw_scrape(self)
+        families = [
+            family for family in self.registry.families()
+            if family.kind == "gauge" and family.samples()
+        ]
+        assert counts["appends"] - before == len(families)
+        counts["scrapes"] += 1
+        counts["columns"] += len(families)
+
+    monkeypatch.setattr(FileObject, "snapshot_view", snapshot_view)
+    monkeypatch.setattr(Dataset, "snapshot", snapshot)
+    monkeypatch.setattr(Squirrel, "register", register)
+    monkeypatch.setattr(Sampler, "scrape", scrape)
+    monkeypatch.setattr(TimeSeriesStore, "append", append)
+
+    report = boot_storm(StormConfig(n_nodes=8, vms_per_node=4))
+
+    assert report.squirrel.boots == 32
+    assert counts["registrations"] >= 8
+    assert counts["scrapes"] > 0
+    assert counts["views"] <= counts["dirty"]
+    # one registration touches one cache file on the scVolume and on the
+    # one interned replica its fleet shares
+    assert counts["dirty"] <= 2 * counts["registrations"]
