@@ -57,7 +57,7 @@ import sys
 import time
 from pathlib import Path
 
-from .common.errors import ConfigError
+from .common.errors import ConfigError, ReproError
 from .common.report import dumps_canonical
 from .experiments import ExperimentConfig, ExperimentContext
 from .experiments import registry
@@ -723,13 +723,13 @@ def _trace_command(argv: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: dispatch to list/run/sweep/metrics/slo/trace.
 
-    A :class:`ConfigError` raised while a command runs (e.g. a storm with
-    zero nodes) prints a one-line ``error: ...`` and exits 2, like an
-    argparse usage error."""
+    Any :class:`ReproError` raised while a command runs (a storm with zero
+    nodes, a broken send stream, a failed simulation) prints a one-line
+    ``error: ...`` and exits 2, like an argparse usage error."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return _dispatch(argv)
-    except ConfigError as error:
+    except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import ALIASES, EXPERIMENTS, main
+from repro.common.errors import SendStreamError
 
 
 class TestCli:
@@ -41,6 +42,20 @@ class TestCli:
         assert captured.err == (
             "error: storm needs at least one node and one VM\n"
         )
+        assert captured.out == ""
+
+    def test_any_repro_error_during_run_is_one_line(self, capsys, monkeypatch):
+        """Storage, network and simulation errors reach the CLI the same
+        way a ConfigError does."""
+        import repro.__main__ as cli
+
+        def broken(argv):
+            raise SendStreamError("incremental receive needs snapshot @v2")
+
+        monkeypatch.setattr(cli, "_dispatch", broken)
+        assert main(["storm"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: incremental receive needs snapshot @v2\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--days", "--registrations-per-day"])
