@@ -138,7 +138,9 @@ class ReplicaStore:
             replica.state = nxt
             self._interned[nxt] = replica
             return
-        # partial group: CoW — one clone for the whole group, then diverge
+        # partial group: CoW — one clone for the whole group, then diverge;
+        # the deepcopy shares block pointers, file views and frozen
+        # snapshot maps, and copies only what a pool mutates
         clone = Replica(copy.deepcopy(replica.pool), state=replica.state)
         for node in members:
             self._repoint(node, clone)
