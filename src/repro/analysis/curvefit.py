@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..common.errors import FitError
 
@@ -74,7 +73,13 @@ def fit_linear(x: Sequence[float], y: Sequence[float]) -> FittedCurve:
 
 
 def fit_mmf(x: Sequence[float], y: Sequence[float]) -> FittedCurve:
-    """Morgan-Mercer-Flodin sigmoid fit (scipy Levenberg-Marquardt)."""
+    """Morgan-Mercer-Flodin sigmoid fit (scipy Levenberg-Marquardt).
+
+    scipy is imported here, not at module load: it is most of the
+    package's import time and memory, and only this fit uses it.
+    """
+    from scipy.optimize import curve_fit
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size < 5:

@@ -19,6 +19,7 @@ both opaquely as "checksums".
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -31,9 +32,15 @@ __all__ = [
 ]
 
 #: splitmix64 constants (Steele et al.); the standard avalanche finaliser.
-_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+#: multiplier folding the left operand of :func:`mix64_pair`
+_PAIR = 0xC2B2AE3D27D4EB4F
+_MASK = 0xFFFFFFFFFFFFFFFF
+_SPLITMIX_GAMMA = np.uint64(_GAMMA)
+_MIX_1 = np.uint64(_M1)
+_MIX_2 = np.uint64(_M2)
 
 
 def hash_bytes(data: bytes) -> str:
@@ -50,7 +57,7 @@ def mix64(values: np.ndarray | int) -> np.ndarray | np.uint64:
     """
     state = np.asarray(values, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = (state + _SPLITMIX_GAMMA) & np.uint64(0xFFFFFFFFFFFFFFFF)
+        state = (state + _SPLITMIX_GAMMA) & np.uint64(_MASK)
         state ^= state >> np.uint64(30)
         state *= _MIX_1
         state ^= state >> np.uint64(27)
@@ -66,7 +73,7 @@ def mix64_pair(lhs: np.ndarray | int, rhs: np.ndarray | int) -> np.ndarray | np.
     left = np.asarray(lhs, dtype=np.uint64)
     right = np.asarray(rhs, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        combined = left * np.uint64(0xC2B2AE3D27D4EB4F) + mix64(right)
+        combined = left * np.uint64(_PAIR) + mix64(right)
     return mix64(combined)
 
 
@@ -99,19 +106,32 @@ def fold_grain_signatures(grain_ids: np.ndarray, grains_per_block: int) -> np.nd
     return np.asarray(mix64(folded), dtype=np.uint64)
 
 
+def _mix64_int(value: int) -> int:
+    """:func:`mix64` of one value in [0, 2**64), in Python ints."""
+    value = (value + _GAMMA) & _MASK
+    value ^= value >> 30
+    value = (value * _M1) & _MASK
+    value ^= value >> 27
+    value = (value * _M2) & _MASK
+    return value ^ (value >> 31)
+
+
 def derive_seed(*parts: int | str) -> int:
     """Derive a deterministic 64-bit seed from heterogeneous parts.
 
-    Strings are hashed stably (not with Python's randomised ``hash``); ints
-    are mixed in order. Used to give every image/distro/experiment its own
-    independent, reproducible RNG stream.
+    Strings are hashed stably (not with Python's randomised ``hash``); any
+    other part is an integral (a Python or numpy int, or a bool), taken
+    modulo 2**64. Parts are folded in order with :func:`mix64_pair`'s
+    arithmetic, computed on plain ints: a seed is one scalar, and numpy
+    scalars cost several times more per operation. Used to give every
+    image/distro/experiment its own independent, reproducible RNG stream.
     """
-    state = np.uint64(0x5851F42D4C957F2D)
+    state = 0x5851F42D4C957F2D
     for part in parts:
         if isinstance(part, str):
             digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
-            value = np.uint64(int.from_bytes(digest, "little"))
+            value = int.from_bytes(digest, "little")
         else:
-            value = np.uint64(part & 0xFFFFFFFFFFFFFFFF)
-        state = mix64_pair(state, value)
-    return int(state)
+            value = operator.index(part) & _MASK
+        state = _mix64_int((state * _PAIR + _mix64_int(value)) & _MASK)
+    return state

@@ -9,9 +9,12 @@ which is what made sweep workers pay seconds of startup per point and put
 :class:`LazyImageCatalog` is the SimFS-style fix: the spec table is built
 once, but each image's grain stream / block view is synthesized **on
 first access** and memoised under a **bounded byte budget** (LRU by
-recency of use). Synthesis is a pure function of the spec, so an evicted
-entry re-synthesizes bit-identically — eviction can change timing, never
-results. The catalog itself is described by a picklable
+recency of use). Every image of a release starts from the same release
+master, so the catalog builds each release's master window once, long
+enough for all of the release's images, memoises it beside the streams,
+and hands each stream builder its prefix. Synthesis is a pure function of
+the spec, so an evicted entry re-synthesizes bit-identically — eviction
+can change timing, never results. The catalog itself is described by a picklable
 :class:`CatalogConfig`, so a multiprocess sweep ships the config in
 milliseconds and each worker materialises only what its points touch.
 
@@ -32,7 +35,9 @@ import numpy as np
 from ..common.errors import ConfigError
 from ..common.units import GiB
 from .dataset import AzureCommunityDataset, DatasetConfig, _build_images
-from .image import ImageSpec, cache_stream, image_stream
+from .content import PoolKind
+from .image import MASTER_WINDOWS, ImageSpec, cache_stream, image_stream
+from .pools import master_grains
 from .streams import BlockView, block_view
 
 __all__ = [
@@ -118,7 +123,8 @@ class LazyImageCatalog:
         self.config = config
         self._specs = specs
         self._by_id: dict[int, ImageSpec] | None = None
-        #: (kind, image_id[, block_size]) -> array or view, LRU-ordered
+        #: (subject, image_id[, block_size]) -> array or view, and
+        #: ("masters", release, pool kind) -> master window, LRU-ordered
         self._memo: OrderedDict[tuple, object] = OrderedDict()
         self._memo_bytes: dict[tuple, int] = {}
         self._resident = 0
@@ -181,7 +187,7 @@ class LazyImageCatalog:
             return hit  # type: ignore[return-value]
         spec = self.spec(image_id)
         builder = cache_stream if subject == "caches" else image_stream
-        stream = builder(spec)
+        stream = builder(spec, self._master_window)
         self._admit(key, stream, stream.nbytes)
         return stream
 
@@ -197,11 +203,29 @@ class LazyImageCatalog:
         self._admit(key, view, _view_nbytes(view))
         return view
 
+    def _master_window(self, spec: ImageSpec, kind: PoolKind) -> np.ndarray:
+        """``master_window(spec, kind)``, sliced from the release's window."""
+        start, span = MASTER_WINDOWS[kind]
+        key = ("masters", spec.release, kind)
+        window = self._memo.get(key)
+        if window is None:
+            length = max(
+                span(other) for other in self.specs
+                if other.release == spec.release
+            )
+            window = master_grains(spec.release, start, length, kind=kind)
+            window.flags.writeable = False  # streams copy what they mutate
+            self._admit(key, window, window.nbytes)
+        else:
+            self._memo.move_to_end(key)
+        return window[: span(spec)]  # type: ignore[index]
+
     def drop(self, subject: Subject | None = None) -> None:
-        """Release memoised streams/views (all, or one subject's)."""
+        """Release memoised streams/views (all, or one subject's) and the
+        master windows both subjects share."""
         keys = [
             key for key in self._memo
-            if subject is None or key[0] == subject
+            if subject is None or key[0] in (subject, "masters")
         ]
         for key in keys:
             del self._memo[key]

@@ -22,6 +22,8 @@ block sizes), which is what gives Figure 2/12 their smooth slopes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +37,14 @@ from .pools import (
     update_pool_grains,
 )
 
-__all__ = ["ImageSpec", "MutationProfile", "cache_stream", "image_stream"]
+__all__ = [
+    "ImageSpec",
+    "MASTER_WINDOWS",
+    "MutationProfile",
+    "cache_stream",
+    "image_stream",
+    "master_window",
+]
 
 #: master index offset separating the boot region from the body region, so
 #: the two never alias (no cache is larger than this many grains)
@@ -144,12 +153,9 @@ def _apply_mutations(
     pool at an aligned offset — sibling images applying the same update
     share it) or image-private content.
     """
-    regions = _mutation_regions(len(master), rate, spec.mutation, rng)
-    if not regions:
-        return master
     out = master.copy()
     version_count = len(UPDATE_VERSION_WEIGHTS)
-    for start, end in regions:
+    for start, end in _mutation_regions(len(master), rate, spec.mutation, rng):
         if rng.random() < UPDATE_SHARED_FRACTION:
             version = int(
                 rng.choice(version_count, p=UPDATE_VERSION_WEIGHTS)
@@ -170,10 +176,30 @@ def _apply_mutations(
     return out
 
 
-def cache_stream(spec: ImageSpec) -> np.ndarray:
+#: each pool kind's window of a release master: the master index it starts
+#: at, and how many of its grains an image draws. ``master_grains`` at an
+#: index depends on nothing else, so an image's window is a prefix of any
+#: longer window of its release.
+MASTER_WINDOWS: dict[PoolKind, tuple[int, Callable[[ImageSpec], int]]] = {
+    PoolKind.BOOT: (0, attrgetter("cache_grains")),
+    PoolKind.BASE: (BODY_MASTER_OFFSET, attrgetter("base_body_grains")),
+}
+
+
+def master_window(spec: ImageSpec, kind: PoolKind) -> np.ndarray:
+    """The master grains ``spec`` draws for ``kind``, built directly."""
+    start, span = MASTER_WINDOWS[kind]
+    return master_grains(spec.release, start, span(spec), kind=kind)
+
+
+#: where the stream builders take master windows from: ``master_window``, or
+#: a catalog slicing windows it built once per release
+Masters = Callable[[ImageSpec, PoolKind], np.ndarray]
+
+
+def cache_stream(spec: ImageSpec, masters: Masters = master_window) -> np.ndarray:
     """Grain IDs of the image's VMI cache (boot working set)."""
-    n = spec.cache_grains
-    master = master_grains(spec.release, 0, n, kind=PoolKind.BOOT)
+    master = masters(spec, PoolKind.BOOT)
     rng = rng_stream("mutate-boot", spec.seed)
     return _apply_mutations(
         master,
@@ -185,13 +211,10 @@ def cache_stream(spec: ImageSpec) -> np.ndarray:
     )
 
 
-def _base_body_stream(spec: ImageSpec) -> np.ndarray:
-    n = spec.base_body_grains
-    if n == 0:
+def _base_body_stream(spec: ImageSpec, masters: Masters) -> np.ndarray:
+    if spec.base_body_grains == 0:
         return np.empty(0, dtype=np.uint64)
-    master = master_grains(
-        spec.release, BODY_MASTER_OFFSET, n, kind=PoolKind.BASE
-    )
+    master = masters(spec, PoolKind.BASE)
     rng = rng_stream("mutate-body", spec.seed)
     return _apply_mutations(
         master,
@@ -276,7 +299,7 @@ def _private_at(
     return tag_with_classes(base, kind)
 
 
-def image_stream(spec: ImageSpec) -> np.ndarray:
+def image_stream(spec: ImageSpec, masters: Masters = master_window) -> np.ndarray:
     """Grain IDs of the image's full content layout.
 
     Layout: ``[boot region][hole padding to the release boot span]``
@@ -284,9 +307,9 @@ def image_stream(spec: ImageSpec) -> np.ndarray:
     free space after the boot files; it keeps the base body at a stable,
     release-wide stream position so sibling images stay block-aligned.
     """
-    boot = cache_stream(spec)
+    boot = cache_stream(spec, masters)
     pad_len = max(0, spec.boot_span_grains - boot.size)
     padding = np.zeros(pad_len, dtype=np.uint64)
     return np.concatenate(
-        [boot, padding, _base_body_stream(spec), _user_stream(spec)]
+        [boot, padding, _base_body_stream(spec, masters), _user_stream(spec)]
     )

@@ -8,11 +8,18 @@ checked against what each step touched:
   or truncated since the previous snapshot — so the views built over the
   registrations grow linearly with them, not quadratically;
 * every sampler scrape writes one column per gauge family that has
-  children, not one sample per child.
+  children, not one sample per child;
+* the catalog builds each release's master window once: ``master_grains``
+  runs at most once per distinct ``(release, pool kind)`` it is asked for,
+  not once per registered image.
 """
+
+import repro.vmi.catalog
+import repro.vmi.image
 
 from repro.core.squirrel import Squirrel
 from repro.metrics import Sampler, TimeSeriesStore
+from repro.vmi import LazyImageCatalog, master_grains
 from repro.workload import StormConfig, boot_storm
 from repro.zfs import Dataset
 from repro.zfs.dmu import FileObject
@@ -63,6 +70,7 @@ def test_snapshot_views_and_scrape_appends_follow_what_changed(monkeypatch):
     monkeypatch.setattr(Squirrel, "register", register)
     monkeypatch.setattr(Sampler, "scrape", scrape)
     monkeypatch.setattr(TimeSeriesStore, "append", append)
+    masters = _count_masters(monkeypatch)
 
     report = boot_storm(StormConfig(n_nodes=8, vms_per_node=4))
 
@@ -73,3 +81,26 @@ def test_snapshot_views_and_scrape_appends_follow_what_changed(monkeypatch):
     # one registration touches one cache file on the scVolume and on the
     # one interned replica its fleet shares
     assert counts["dirty"] <= 2 * counts["registrations"]
+    assert masters["catalogs"] == 1
+    assert 0 < masters["calls"] <= len(masters["pairs"])
+
+
+def _count_masters(monkeypatch) -> dict:
+    """Count catalogs built and ``master_grains`` calls, wherever the
+    stream builders reach it from."""
+    masters = {"catalogs": 0, "calls": 0, "pairs": set()}
+    raw_init = LazyImageCatalog.__init__
+
+    def init(self, *args, **kwargs):
+        masters["catalogs"] += 1
+        raw_init(self, *args, **kwargs)
+
+    def counted(release, start, length, *, kind):
+        masters["calls"] += 1
+        masters["pairs"].add((release, kind))
+        return master_grains(release, start, length, kind=kind)
+
+    monkeypatch.setattr(LazyImageCatalog, "__init__", init)
+    for module in (repro.vmi.image, repro.vmi.catalog):
+        monkeypatch.setattr(module, "master_grains", counted, raising=False)
+    return masters

@@ -23,6 +23,7 @@ from repro.vmi import (
     cache_stream,
     image_stream,
 )
+from repro.vmi.content import PoolKind
 
 TINY = DatasetConfig(scale=1 / 4096)
 
@@ -132,3 +133,59 @@ class TestBudget:
         catalog.drop()
         assert not catalog._memo
         assert catalog.resident_bytes == 0
+
+
+class TestReleaseMasters:
+    """Each release's master window is built once per catalog and sliced."""
+
+    @pytest.fixture(scope="class")
+    def scale_2048(self):
+        return LazyImageCatalog(DatasetConfig(scale=1 / 2048))
+
+    def test_every_stream_matches_memo_free_synthesis(self, scale_2048):
+        for spec in scale_2048.specs:
+            for subject, build in (("caches", cache_stream), ("images", image_stream)):
+                stream = scale_2048.grain_stream(spec.image_id, subject)
+                assert stream.dtype == np.uint64
+                assert stream.tobytes() == build(spec).tobytes()
+        releases = {spec.release for spec in scale_2048.specs}
+        masters = [key for key in scale_2048._memo if key[0] == "masters"]
+        assert len(masters) == 2 * len(releases)
+
+    def test_shorter_image_of_a_release_first(self):
+        fresh = LazyImageCatalog(TINY)
+        by_release = {}
+        for spec in fresh.specs:
+            by_release.setdefault(spec.release, []).append(spec)
+        siblings = max(by_release.values(), key=len)
+        shortest = min(siblings, key=lambda spec: spec.nonzero_grains)
+        longest = max(siblings, key=lambda spec: spec.nonzero_grains)
+        assert shortest.cache_grains < longest.cache_grains
+        assert shortest.base_body_grains < longest.base_body_grains
+        for spec in (shortest, longest):
+            np.testing.assert_array_equal(
+                fresh.grain_stream(spec.image_id, "images"), image_stream(spec)
+            )
+            np.testing.assert_array_equal(
+                fresh.grain_stream(spec.image_id, "caches"), cache_stream(spec)
+            )
+
+    def test_streams_own_their_grains(self):
+        fresh = LazyImageCatalog(TINY)
+        stream = fresh.grain_stream(0)
+        window = fresh._memo[("masters", fresh.spec(0).release, PoolKind.BOOT)]
+        assert stream.flags.writeable and not window.flags.writeable
+        assert not np.shares_memory(stream, window)
+
+    def test_windows_count_in_resident_bytes_and_drop_releases_them(self):
+        fresh = LazyImageCatalog(TINY)
+        stream = fresh.grain_stream(0, "images")
+        windows = [key for key in fresh._memo if key[0] == "masters"]
+        assert len(windows) == 2
+        window_bytes = sum(fresh._memo[key].nbytes for key in windows)
+        assert fresh.resident_bytes == stream.nbytes + window_bytes
+        fresh.drop("caches")
+        assert fresh.resident_bytes == stream.nbytes
+        fresh.drop()
+        assert not fresh._memo
+        assert fresh.resident_bytes == 0
