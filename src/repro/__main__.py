@@ -479,7 +479,12 @@ def _sweep_command(argv: list[str]) -> int:
         parser.error(str(error))
 
     if args.json:
-        print(dumps_canonical(result.to_dict()))
+        if out_dir is not None:
+            # the store already rendered the merged report: print its bytes
+            # rather than serialising the same payload a second time
+            print(written["report.json"].read_text(encoding="utf-8"), end="")
+        else:
+            print(dumps_canonical(result.to_dict()))
         print(f"[sweep: {elapsed:.1f}s]", file=sys.stderr)
     else:
         print(render_sweep(result, metrics=exp.metrics))

@@ -21,11 +21,34 @@ import numpy as np
 __all__ = ["Report", "ReportBase", "to_jsonable", "dumps_canonical"]
 
 
+#: exact scalar types the fast path of :func:`to_jsonable` passes through;
+#: their subclasses (``np.float64``, ``IntEnum``) take the ``isinstance`` chain
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def to_jsonable(obj: Any) -> Any:
-    """Recursively convert ``obj`` to plain JSON-able Python data."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    """Recursively convert ``obj`` to plain JSON-able Python data.
+
+    Exact plain scalars, lists, tuples and dicts take a fast path: a
+    container is rebuilt in one comprehension that keeps its plain items
+    inline and recurses only into the rest, so a metrics series of N
+    floats costs one call, not N + 1. Every other object (subclasses
+    included) goes through the ``isinstance`` chain below; both paths give
+    the same data."""
+    kind = type(obj)
+    if kind in _PLAIN:
         return obj
-    if isinstance(obj, float):
+    if kind is list or kind is tuple:
+        return [
+            item if type(item) in _PLAIN else to_jsonable(item) for item in obj
+        ]
+    if kind is dict:
+        return {
+            key if type(key) is str else str(key):
+            value if type(value) in _PLAIN else to_jsonable(value)
+            for key, value in obj.items()
+        }
+    if isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Enum):
         return obj.value

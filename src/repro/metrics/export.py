@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from ..common.errors import ConfigError
-from ..common.report import dumps_canonical, to_jsonable
+from ..common.report import dumps_canonical
 from ..obs import runtime as obs_runtime
 from .instruments import MetricsRegistry, format_number
 from .store import TimeSeriesStore
@@ -195,12 +195,12 @@ def write_run_exports(out_dir: str | Path, result: Any) -> dict[str, Path]:
     Writes, per embedded metrics block, ``<side>.prom`` (Prometheus text)
     and ``<side>.jsonl`` (series dump), plus ``report.json`` — the full
     canonical report the ``python -m repro metrics`` summarizer reads.
-    ``result`` is a Report (or an already JSON-able payload).
+    ``result`` is a Report or an already plain payload; either way the
+    payload is not converted a second time.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = result.to_dict() if hasattr(result, "to_dict") else result
-    payload = to_jsonable(payload)
     blocks = collect_metric_blocks(payload, "report")
     written: dict[str, Path] = {}
     for path, block in blocks.items():
@@ -222,7 +222,7 @@ def write_run_exports(out_dir: str | Path, result: Any) -> dict[str, Path]:
         # directories with --exclude=runtime.json)
         runtime_path = out / "runtime.json"
         runtime_path.write_text(
-            dumps_canonical(to_jsonable(profiler.block())) + "\n",
+            dumps_canonical(profiler.block()) + "\n",
             encoding="utf-8",
         )
         written["runtime.json"] = runtime_path

@@ -37,7 +37,7 @@ import json
 import numpy as np
 
 from ..common.errors import ConfigError
-from ..common.report import ReportBase, dumps_canonical, to_jsonable
+from ..common.report import ReportBase, dumps_canonical
 from ..experiments import ExperimentContext, registry
 from ..experiments.context import _shared_context
 from ..obs import runtime as obs_runtime
@@ -69,11 +69,15 @@ def _worker_context() -> ExperimentContext:
 
 
 def _run_point(payload: tuple[int, str, dict]) -> tuple[int, dict]:
-    """Execute one sweep point; returns (index, JSON-able result)."""
+    """Execute one sweep point; returns (index, JSON-able result).
+
+    ``Report.to_dict()`` already returns plain data, so the result is not
+    converted a second time; :func:`_aggregate` relies on that when it
+    reads metrics by dotted path."""
     index, experiment, params = payload
     exp = registry.get(experiment)
     result = exp.run(_worker_context(), **params)
-    return index, to_jsonable(result.to_dict())
+    return index, result.to_dict()
 
 
 def load_manifest(path: str, experiment: str) -> dict[str, dict]:
@@ -329,7 +333,7 @@ def run_sweep(
                         {
                             "manifest_version": 1,
                             "experiment": spec.experiment,
-                            "runtime": to_jsonable(profiler.block()),
+                            "runtime": profiler.block(),
                         }
                     )
                     + "\n"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..common.report import dumps_canonical, to_jsonable
+from ..common.report import dumps_canonical
 from ..metrics import collect_metric_blocks
 from ..obs import runtime as obs_runtime
 from .runner import SweepResult
@@ -48,7 +48,7 @@ def persist_sweep(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = to_jsonable(result.to_dict())
+    payload = result.to_dict()
     written: dict[str, Path] = {}
 
     spec_payload = {
@@ -57,9 +57,7 @@ def persist_sweep(
         "fixed": dict(spec.fixed),
     }
     spec_path = out / "spec.json"
-    spec_path.write_text(
-        dumps_canonical(to_jsonable(spec_payload)) + "\n", encoding="utf-8"
-    )
+    spec_path.write_text(dumps_canonical(spec_payload) + "\n", encoding="utf-8")
     written["spec.json"] = spec_path
 
     report_path = out / "report.json"
@@ -92,7 +90,7 @@ def persist_sweep(
         # outside every byte-identity comparison
         runtime_path = out / "runtime.json"
         runtime_path.write_text(
-            dumps_canonical(to_jsonable(profiler.block())) + "\n",
+            dumps_canonical(profiler.block()) + "\n",
             encoding="utf-8",
         )
         written["runtime.json"] = runtime_path

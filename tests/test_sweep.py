@@ -323,6 +323,23 @@ class TestSweepCli:
         assert len(payload["points"]) == 2
         assert [p["params"]["seed"] for p in payload["points"]] == [0, 1]
 
+    def test_cli_json_with_out_prints_the_stored_report(self, tmp_path, capsys):
+        """``--out DIR --json`` prints the very bytes of ``report.json``,
+        and they match a ``--json`` run without a store."""
+        from repro.__main__ import main
+
+        argv = [
+            "sweep", "storm", "--grid", "nodes=2 seed=0,1",
+            "--set", "vms_per_node=1", "--json",
+        ]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--out", str(tmp_path / "store")]) == 0
+        stored = capsys.readouterr().out
+        assert stored == plain
+        report = tmp_path / "store" / "report.json"
+        assert report.read_text(encoding="utf-8") == stored
+
     def test_cli_resume(self, tmp_path, capsys):
         from repro.__main__ import main
 
