@@ -37,11 +37,9 @@ def accounting_sweep() -> None:
     scale_up = dataset.scaled_up
     print(f"{'nodes':>6} {'VMs':>5} {'w/o caches':>12} {'w/ Squirrel':>12}")
     for nodes in (8, 16, 32, 64):
-        cluster.ledger.clear()
         without = run_boot_storm(
             squirrel, dataset, n_nodes=nodes, vms_per_node=8, with_caches=False
         )
-        cluster.ledger.clear()
         with_caches = run_boot_storm(
             squirrel, dataset, n_nodes=nodes, vms_per_node=8, with_caches=True
         )
@@ -51,11 +49,12 @@ def accounting_sweep() -> None:
             f"{scale_up(with_caches.compute_ingress_bytes) / GiB:>10.1f} GB"
         )
 
-    cluster.ledger.clear()
+    gluster = cluster.storage.gluster
+    before = gluster.storage_read_load()
     run_boot_storm(squirrel, dataset, n_nodes=64, vms_per_node=8, with_caches=False)
     print("\nper-storage-node egress during the 512-VM storm (w/o caches):")
-    for name, load in sorted(cluster.storage.gluster.storage_read_load().items()):
-        print(f"  {name}: {scale_up(load) / GiB:.1f} GB")
+    for name, load in sorted(gluster.storage_read_load().items()):
+        print(f"  {name}: {scale_up(load - before[name]) / GiB:.1f} GB")
 
     full_copy = full_copy_transfer_bytes(dataset, n_nodes=64, vms_per_node=8)
     print(

@@ -537,13 +537,11 @@ class Squirrel:
         self, node: ComputeNode, chain: ShardChain, stream: SendStream
     ) -> int:
         """Unicast one send stream to a node and apply it."""
-        duration = node.node.link.transfer_time(stream.size_bytes)
         self.cluster.ledger.record(
             self.cluster.storage.primary.name,
             node.name,
             stream.size_bytes,
             "offline-propagation",
-            duration,
         )
         # a node replaying a diff its never-offline peers already applied
         # lands on their interned state — the receive repoints, zero work

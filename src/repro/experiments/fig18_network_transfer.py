@@ -77,7 +77,6 @@ def run(
     for vms in VMS_PER_NODE:
         points = []
         for nodes in NODE_COUNTS:
-            cluster.ledger.clear()
             storm = run_boot_storm(
                 squirrel, dataset, n_nodes=nodes, vms_per_node=vms,
                 with_caches=False,
@@ -88,7 +87,6 @@ def run(
     with_points = []
     hits = boots = 0
     for nodes in NODE_COUNTS:
-        cluster.ledger.clear()
         storm = run_boot_storm(
             squirrel, dataset, n_nodes=nodes, vms_per_node=max(VMS_PER_NODE),
             with_caches=True,

@@ -9,7 +9,6 @@ from .topology import (
     LinkProfile,
     Node,
     NodeKind,
-    Transfer,
     TransferLedger,
 )
 
@@ -22,7 +21,6 @@ __all__ = [
     "Node",
     "NodeKind",
     "SwarmResult",
-    "Transfer",
     "TransferLedger",
     "multicast",
     "swarm_distribute",

@@ -73,9 +73,9 @@ class GlusterVolume:
         #: names of failed bricks (degraded mode while non-empty)
         self._dead: set[str] = set()
         self._names = {node.name for group in self.groups for node in group}
-        #: running bytes-served tally per brick — O(1) to read, unlike the
-        #: full ledger walk in :meth:`storage_read_load`, so gauges can
-        #: scrape it every sampling tick
+        #: running bytes-served tally per brick, kept apart from the ledger
+        #: (whose per-brick sums also count uploads and seeding) so gauges
+        #: can scrape brick service alone every sampling tick
         self._served: dict[str, int] = {name: 0 for name in sorted(self._names)}
         #: purposes that have flowed through the brick read path; the
         #: served-bytes verifier filters the ledger to exactly these, so
@@ -209,25 +209,24 @@ class GlusterVolume:
     def verify_served_accounting(self) -> dict[str, int]:
         """Cross-check the O(1) served tallies against the ledger.
 
-        Recomputes each brick's service bytes from the ledger records the
-        read path actually produced — transfers sourced at a brick under a
-        purpose that has flowed through :meth:`read_with_plan` — and raises
+        Recomputes each brick's service bytes from the ledger's sums — bytes
+        sourced at a brick under a purpose that has flowed through
+        :meth:`read_with_plan` — and raises
         :class:`~repro.common.errors.NetworkError` on any divergence. This
         pins two invariants at once: degraded reads re-route a dead brick's
         ranges onto its group's survivors exactly once (no loss, no double
         count), and storage-sourced traffic that bypasses the bricks
         (snapshot multicast, placement seeding) or never touches them
         (compute-to-compute peer redirects) cannot inflate a brick tally.
-        Only meaningful while the ledger covers the volume's whole history
-        (i.e. it has not been cleared since construction).
         """
-        computed = {name: 0 for name in sorted(self._names)}
-        for transfer in self.ledger.transfers:
-            if (
-                transfer.src in self._names
-                and transfer.purpose in self._read_purposes
-            ):
-                computed[transfer.src] += transfer.n_bytes
+        ledger = self.ledger
+        computed = {
+            name: sum(
+                ledger.bytes_out_of(name, purpose=purpose)
+                for purpose in self._read_purposes
+            )
+            for name in sorted(self._names)
+        }
         if computed != self._served:
             drift = {
                 name: (self._served[name], computed[name])

@@ -56,9 +56,7 @@ def multicast(
             links[id(link)] = link
     slowest: LinkProfile = min(links.values(), key=lambda l: l.bytes_per_s)
     duration = slowest.transfer_time(wire_bytes)
-    ledger.record_fanout(
-        sender.name, [r.name for r in receivers], n_bytes, purpose, duration
-    )
+    ledger.record_fanout(sender.name, [r.name for r in receivers], n_bytes, purpose)
     return MulticastResult(
         n_bytes=n_bytes,
         n_receivers=len(receivers),
@@ -83,8 +81,7 @@ def unicast_fanout(
     if not receivers:
         return MulticastResult(n_bytes, 0, 0.0, 0)
     duration = sender.link.transfer_time(n_bytes, streams=len(receivers))
-    for receiver in receivers:
-        ledger.record(sender.name, receiver.name, n_bytes, purpose, duration)
+    ledger.record_fanout(sender.name, [r.name for r in receivers], n_bytes, purpose)
     return MulticastResult(
         n_bytes=n_bytes,
         n_receivers=len(receivers),

@@ -57,16 +57,18 @@ def swarm_distribute(
     origin_bytes = int(n_bytes * max(1.0, origin_share * n) / n * n) if n else 0
     origin_bytes = min(origin_bytes, n_bytes * n)
     peer_bytes = n_bytes * n - origin_bytes
-    # ledger: each receiver ingests the payload; sources split origin/peers
-    origin_fraction = origin_bytes / (n_bytes * n)
     duration = origin.link.transfer_time(n_bytes) * (1.0 + math.log2(max(1, n)) / 16.0)
+    # ledger: each receiver ingests the payload; the origin's bytes split
+    # exactly across receivers (the remainder to the first ones), so origin
+    # and peer egress sum to origin_bytes and peer_bytes
+    base, remainder = divmod(origin_bytes, n)
     for index, receiver in enumerate(receivers):
-        from_origin = int(n_bytes * origin_fraction)
+        from_origin = base + (index < remainder)
         from_peers = n_bytes - from_origin
-        ledger.record(origin.name, receiver.name, from_origin, purpose, duration)
+        ledger.record(origin.name, receiver.name, from_origin, purpose)
         if from_peers > 0:
             peer = receivers[(index + 1) % n]
-            ledger.record(peer.name, receiver.name, from_peers, purpose, duration)
+            ledger.record(peer.name, receiver.name, from_peers, purpose)
     return SwarmResult(
         n_bytes=n_bytes,
         n_receivers=n,

@@ -3,8 +3,8 @@
 The evaluation cluster (DAS-4/VU, Section 4) is a star: up to 68 nodes on a
 commodity 1 GbE switch plus QDR InfiniBand. Figure 18's metric is *bytes
 moved to compute nodes*, so the first-class object here is the
-:class:`TransferLedger` — every simulated byte movement is recorded with its
-endpoints and purpose, and the figure queries the ledger.
+:class:`TransferLedger` — every simulated byte movement adds to running
+sums per endpoint and purpose, and the figure queries those sums.
 
 Timing is intentionally coarse (bandwidth/latency bounds with a many-to-one
 contention factor): the paper's network experiment reports transfer *sizes*,
@@ -13,6 +13,7 @@ and timing only needs to be plausible for the propagation examples.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,7 +25,6 @@ __all__ = [
     "IB_QDR",
     "NodeKind",
     "Node",
-    "Transfer",
     "TransferLedger",
 ]
 
@@ -85,66 +85,36 @@ class Node:
     link: LinkProfile = GBE_1
 
 
-@dataclass(frozen=True, slots=True)
-class Transfer:
-    """One recorded byte movement."""
-
-    src: str
-    dst: str
-    n_bytes: int
-    purpose: str  #: e.g. "boot-read", "cache-propagation", "registration"
-    duration_s: float = 0.0
-
-
 @dataclass
 class TransferLedger:
-    """Append-only record of all network transfers in an experiment.
+    """Running byte sums of every network transfer in an experiment.
 
-    Alongside the raw rows, :meth:`record` maintains running per-endpoint
-    sums keyed on ``(name, purpose)`` — a fleet-wide multicast appends
-    one row per receiver, so at 10k nodes the ledger holds millions of
-    rows and the Figure 18 queries must not rescan them per call.
+    Each transfer adds its bytes to per-endpoint sums keyed on
+    ``(name, purpose)`` (and ``(name, None)`` across purposes) and to
+    per-purpose totals; no per-transfer rows are kept, so the ledger grows
+    with endpoints × purposes, not with transfers — Squirrel multicasts
+    every cache to every node, so per-transfer state would grow with
+    fleet × registrations. The sums cover the ledger's whole life: a
+    measurement of one phase is the difference of a query taken before
+    and after it.
     """
 
-    transfers: list[Transfer] = field(default_factory=list)
     #: (dst, purpose) -> bytes; and (dst, None) -> bytes across purposes
     _into: dict[tuple[str, str | None], int] = field(default_factory=dict)
     _out_of: dict[tuple[str, str | None], int] = field(default_factory=dict)
     _totals: dict[str | None, int] = field(default_factory=dict)
 
-    def record(
-        self, src: str, dst: str, n_bytes: int, purpose: str, duration_s: float = 0.0
-    ) -> Transfer:
-        if n_bytes < 0:
-            raise NetworkError("negative transfer size")
-        transfer = Transfer(src, dst, n_bytes, purpose, duration_s)
-        self.transfers.append(transfer)
-        into, out_of, totals = self._into, self._out_of, self._totals
-        for key in ((dst, purpose), (dst, None)):
-            into[key] = into.get(key, 0) + n_bytes
-        for key in ((src, purpose), (src, None)):
-            out_of[key] = out_of.get(key, 0) + n_bytes
-        for key in (purpose, None):
-            totals[key] = totals.get(key, 0) + n_bytes
-        return transfer
+    def record(self, src: str, dst: str, n_bytes: int, purpose: str) -> None:
+        """One sender, one receiver."""
+        self.record_fanout(src, (dst,), n_bytes, purpose)
 
     def record_fanout(
-        self,
-        src: str,
-        dsts: list[str],
-        n_bytes: int,
-        purpose: str,
-        duration_s: float = 0.0,
+        self, src: str, dsts: Sequence[str], n_bytes: int, purpose: str
     ) -> None:
-        """One sender, many receivers (a multicast): exactly the rows and
-        aggregates ``record`` would produce per receiver, batched — a
-        fleet-wide propagation is the ledger's hottest path at 10k nodes
-        and per-call overhead dominates it."""
+        """One sender sends the same ``n_bytes`` to each of ``dsts`` (a
+        multicast, or a unicast fan-out of one payload)."""
         if n_bytes < 0:
             raise NetworkError("negative transfer size")
-        self.transfers.extend(
-            Transfer(src, dst, n_bytes, purpose, duration_s) for dst in dsts
-        )
         into = self._into
         for dst in dsts:
             key = (dst, purpose)
@@ -176,9 +146,3 @@ class TransferLedger:
         into = self._into
         names = {n.name if isinstance(n, Node) else n for n in compute_nodes}
         return sum(into.get((name, purpose), 0) for name in names)
-
-    def clear(self) -> None:
-        self.transfers.clear()
-        self._into.clear()
-        self._out_of.clear()
-        self._totals.clear()

@@ -183,10 +183,7 @@ class PlacementCoordinator:
 
     def record_redirect(self, cluster, peer_name: str, reader: str, n_bytes: int) -> None:
         """Ledger + tallies for one redirected boot (peer → reader)."""
-        duration = cluster.node(peer_name).node.link.transfer_time(n_bytes)
-        cluster.ledger.record(
-            peer_name, reader, n_bytes, PEER_REDIRECT_PURPOSE, duration
-        )
+        cluster.ledger.record(peer_name, reader, n_bytes, PEER_REDIRECT_PURPOSE)
         self.peer_redirects += 1
         self.redirect_bytes += n_bytes
 
@@ -254,10 +251,7 @@ class PlacementCoordinator:
                 ).write_file_virtual(cache_file, rows),
             )
             size = self.directory.cache_bytes_of(image_id)
-            duration = node.node.link.transfer_time(size)
-            cluster.ledger.record(
-                origin.name, node.name, size, SEED_PURPOSE, duration
-            )
+            cluster.ledger.record(origin.name, node.name, size, SEED_PURPOSE)
             moved += size
         self.reseed_bytes += moved
         return moved

@@ -37,7 +37,7 @@ import json
 import numpy as np
 
 from ..common.errors import ConfigError
-from ..common.report import ReportBase, dumps_canonical
+from ..common.report import ReportBase, dumps_canonical, to_jsonable
 from ..experiments import ExperimentContext, registry
 from ..experiments.context import _shared_context
 from ..obs import runtime as obs_runtime
@@ -191,6 +191,25 @@ class SweepResult(ReportBase):
     fixed: dict  #: non-gridded overrides
     points: tuple  #: per point: {"params", "seed", "result"}
     summary: dict  #: metric -> group -> {n, p50, p95}
+
+    def to_dict(self) -> dict:
+        """Plain data that shares each point's result rather than copying
+        it: a result is already plain (a ``Report.to_dict()`` payload or a
+        manifest replay), and it is the bulk of a merged report."""
+        return {
+            "experiment": self.experiment,
+            "grid": to_jsonable(self.grid),
+            "fixed": to_jsonable(self.fixed),
+            "points": [
+                {
+                    "params": to_jsonable(point["params"]),
+                    "seed": to_jsonable(point["seed"]),
+                    "result": point["result"],
+                }
+                for point in self.points
+            ],
+            "summary": to_jsonable(self.summary),
+        }
 
 
 def run_sweep(

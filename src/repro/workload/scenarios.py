@@ -246,7 +246,7 @@ def _run_storm_side(
             # the baseline never registers: only the base VMIs exist on the FS
             for spec in catalog.specs[:n_images]:
                 gluster.create_file(vmi_file_name(spec.image_id), spec.nonzero_bytes)
-        squirrel.cluster.ledger.clear()
+        ingress_before = squirrel.cluster.compute_ingress_bytes(purpose="boot-read")
         if config.faults is not None:
             FaultInjector(timed, config.faults).start()
 
@@ -268,6 +268,7 @@ def _run_storm_side(
             lambda: timeline.counter("boots") / len(plan) if plan else None
         )
         horizon = engine.run()
+    gluster.verify_served_accounting()
     timed.tracer.close_open_spans()
     side = StormSide(
         boots=int(timeline.counter("boots")),
@@ -276,7 +277,7 @@ def _run_storm_side(
         delayed_boots=int(timeline.counter("boots_delayed")),
         compute_ingress_bytes=squirrel.cluster.compute_ingress_bytes(
             purpose="boot-read"
-        ),
+        ) - ingress_before,
         horizon_s=horizon,
         latency=timeline.stats("boot_latency_s"),
         recovery=timeline.stats("recovery_s"),
@@ -429,7 +430,7 @@ def steady_state_day(
         raise ConfigError("catalogue larger than the dataset")
     for spec in dataset.images[: config.n_initial_images]:
         squirrel.register(spec)  # overnight backlog: instant setup
-    squirrel.cluster.ledger.clear()
+    ingress_before = squirrel.cluster.compute_ingress_bytes(purpose="boot-read")
     if config.faults is not None:
         FaultInjector(timed, config.faults).start()
 
@@ -479,6 +480,7 @@ def steady_state_day(
         # heartbeat horizon: the day ends at DAY_S on the sim clock
         obs_runtime.set_fraction(lambda: min(1.0, engine.now / DAY_S))
         engine.run()
+    squirrel.cluster.storage.gluster.verify_served_accounting()
     timed.tracer.close_open_spans()
     if trace_path is not None:
         write_chrome_trace(trace_path, {"day": timed.tracer})
@@ -488,7 +490,7 @@ def steady_state_day(
         registrations=int(timeline.counter("registrations")),
         compute_ingress_bytes=squirrel.cluster.compute_ingress_bytes(
             purpose="boot-read"
-        ),
+        ) - ingress_before,
         boot_latency=timeline.stats("boot_latency_s"),
         register_latency=timeline.stats("register_latency_s"),
         summary=timeline.summary(),

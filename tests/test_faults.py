@@ -11,7 +11,13 @@ from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.net import GlusterVolume, Node, NodeKind, TransferLedger
 from repro.sim import Engine, Interrupted, Pipe, Resource, Timeline
 from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
-from repro.workload import StormConfig, TimedSquirrel, boot_storm
+from repro.workload import (
+    DayConfig,
+    StormConfig,
+    TimedSquirrel,
+    boot_storm,
+    steady_state_day,
+)
 
 BLOCK = 65536
 
@@ -417,6 +423,48 @@ class TestFaultedStorm:
         report = boot_storm(config)
         assert report.baseline.latency.count == 8
         assert report.baseline.summary["counters"].get("brick_failures") == 1
+
+
+class TestServedAccountingOnTimedRuns:
+    """Each storm side and the day run cross-check the bricks' served
+    tallies against the ledger once the engine drains."""
+
+    @staticmethod
+    def day():
+        return steady_state_day(
+            DayConfig(
+                n_nodes=4, n_boots=40, n_initial_images=8,
+                n_new_registrations=2, scale=1 / 1024,
+                faults=FaultPlan.parse("brick:storage0@3600+600"),
+            )
+        )
+
+    @staticmethod
+    def storm():
+        return boot_storm(faulted_storm_config(
+            faults=FaultPlan.parse("crash:compute1@5+30,brick:storage0@2+20")
+        ))
+
+    @pytest.mark.parametrize("run", ["storm", "day"])
+    def test_faulted_runs_pass(self, run):
+        getattr(self, run)()
+
+    @pytest.mark.parametrize("run", ["storm", "day"])
+    def test_stray_read_record_trips_the_check(self, run, monkeypatch):
+        # every brick read also books one byte nobody served, under the
+        # read's own purpose (boot-read on a cold boot)
+        real = GlusterVolume.read_with_plan
+
+        def drifting(volume, name, offset, length, *, reader, purpose="boot-read"):
+            served = real(
+                volume, name, offset, length, reader=reader, purpose=purpose
+            )
+            volume.ledger.record(volume.groups[0][0].name, "stray", 1, purpose)
+            return served
+
+        monkeypatch.setattr(GlusterVolume, "read_with_plan", drifting)
+        with pytest.raises(NetworkError, match="diverge"):
+            getattr(self, run)()
 
 
 class TestJsonCli:

@@ -100,3 +100,18 @@ class TestSwarm:
         sender, receivers = cluster(8)
         result = swarm_distribute(ledger, sender, receivers, 10 << 20)
         assert result.origin_bytes + result.peer_upload_bytes == 8 * (10 << 20)
+
+    @pytest.mark.parametrize(
+        "n_receivers, n_bytes", [(3, 1_000), (64, 123_457), (7, 1)]
+    )
+    def test_ledger_conserves_origin_and_peer_bytes(self, n_receivers, n_bytes):
+        """The ledger's origin and peer egress match the result exactly,
+        whatever the payload's remainder over the receivers."""
+        ledger = TransferLedger()
+        sender, receivers = cluster(n_receivers)
+        result = swarm_distribute(ledger, sender, receivers, n_bytes)
+        assert ledger.bytes_out_of(sender.name) == result.origin_bytes
+        peer_egress = sum(ledger.bytes_out_of(r.name) for r in receivers)
+        assert peer_egress == result.peer_upload_bytes
+        for r in receivers:
+            assert ledger.bytes_into(r.name) == n_bytes

@@ -114,10 +114,9 @@ class TestPeerRedirect:
             == before
         )
         gluster = squirrel.cluster.storage.gluster
-        assert all(
-            t.purpose == PEER_REDIRECT_PURPOSE
-            for t in squirrel.cluster.ledger.transfers
-            if t.dst == reader
+        ledger = squirrel.cluster.ledger
+        assert ledger.bytes_into(reader) == ledger.bytes_into(
+            reader, purpose=PEER_REDIRECT_PURPOSE
         )
         gluster.verify_served_accounting()
 

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.common.report import dumps_canonical
+from repro.common.report import ReportBase, dumps_canonical
 from repro.experiments import registry
 from repro.experiments.params import ParamSpec, parse_bool, validate_params
 from repro.sweep import SweepSpec, load_manifest, parse_grid, run_sweep
@@ -242,6 +242,15 @@ class TestRunner:
         assert dumps_canonical(serial.to_dict()) == dumps_canonical(
             parallel.to_dict()
         )
+
+    def test_to_dict_shares_point_results(self):
+        result = run_sweep(_tiny_spec(), workers=1, scale=4096.0)
+        payload = result.to_dict()
+        assert dumps_canonical(payload) == dumps_canonical(
+            ReportBase.to_dict(result)
+        )
+        for point, entry in zip(result.points, payload["points"], strict=True):
+            assert entry["result"] is point["result"]
 
     def test_points_in_expansion_order(self):
         result = run_sweep(_tiny_spec("nodes=2,4 seed=0"), workers=2, scale=4096.0)
