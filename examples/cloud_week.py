@@ -69,7 +69,7 @@ def main() -> None:
 
     print("\nclosing scrub of every pool...")
     for pool in [cluster.storage.pool] + [n.pool for n in cluster.compute]:
-        scrub(pool, verify_payloads=False).raise_if_dirty()
+        scrub(pool).raise_if_dirty()
     print("all pools consistent.")
     total = cluster.compute_ingress_bytes(purpose="boot-read")
     print(f"week's total boot traffic into compute nodes: {format_bytes(total)}")

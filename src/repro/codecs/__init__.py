@@ -9,7 +9,7 @@ from .estimator import CalibrationPoint, SizeEstimator
 from .gzipcodec import GzipCodec
 from .lz4 import Lz4Codec, lz4_compress, lz4_decompress
 from .lzjb import LzjbCodec, lzjb_compress, lzjb_decompress
-from .zero import NullCodec, is_zero_block
+from .zero import NullCodec
 
 __all__ = [
     "CalibrationPoint",
@@ -21,7 +21,6 @@ __all__ = [
     "SizeEstimator",
     "available_codecs",
     "get_codec",
-    "is_zero_block",
     "lz4_compress",
     "lz4_decompress",
     "lzjb_compress",

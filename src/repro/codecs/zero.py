@@ -1,31 +1,15 @@
-"""Null codec and zero-block detection.
+"""Null codec: the identity codec.
 
-ZFS never allocates space for all-zero blocks (they compress to a "hole"
-block pointer regardless of the compression property). The write pipeline
-uses :func:`is_zero_block` for that; :class:`NullCodec` backs
-``compression=off`` configurations and the XFS baseline in Figure 11.
+:class:`NullCodec` backs ``compression=off`` configurations and the XFS
+baseline in Figure 11. (All-zero blocks never reach a codec: block views
+mark them as holes, which ZFS stores without allocating space.)
 """
 
 from __future__ import annotations
 
 from .base import Codec, register_codec
 
-__all__ = ["NullCodec", "is_zero_block"]
-
-_ZERO_CHUNK = bytes(4096)
-
-
-def is_zero_block(data: bytes) -> bool:
-    """True when ``data`` is entirely zero bytes (fast path for sparse files)."""
-    if not data:
-        return True
-    # compare in 4 KB strides; bytes comparison is C-speed
-    view = memoryview(data)
-    for start in range(0, len(data), len(_ZERO_CHUNK)):
-        chunk = view[start : start + len(_ZERO_CHUNK)]
-        if chunk != _ZERO_CHUNK[: len(chunk)]:
-            return False
-    return True
+__all__ = ["NullCodec"]
 
 
 class NullCodec(Codec):

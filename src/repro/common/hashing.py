@@ -1,19 +1,12 @@
-"""Content hashing.
+"""Content hashing: vectorised 64-bit mixing.
 
-Two families of hashes coexist:
-
-* :func:`hash_bytes` — a cryptographic-strength 128-bit digest of real block
-  bytes (blake2b), used by the functional ZFS write pipeline exactly where
-  ZFS uses SHA-256.
-* vectorised 64-bit mixing (:func:`mix64`, :func:`fold_grain_signatures`) for
-  the *accounting* path: procedural images are addressed as streams of grain
-  identifiers, and a block's identity is a mix of the grain IDs it covers.
-  This lets dedup sweeps over tens of millions of grains run as a handful of
-  numpy passes instead of hashing terabytes of materialised bytes.
-
-The two families never collide by construction: byte digests are 128-bit
-hex strings, grain signatures are uint64 arrays. The ZFS substrate treats
-both opaquely as "checksums".
+Procedural images are addressed as streams of grain identifiers, and a
+block's identity is a mix of the grain IDs it covers (:func:`mix64`,
+:func:`fold_grain_signatures`). This lets dedup sweeps over tens of
+millions of grains run as a handful of numpy passes instead of hashing
+terabytes of materialised bytes; the ZFS substrate keys its dedup table on
+these signatures. :func:`derive_seed` folds heterogeneous parts into one
+reproducible RNG seed with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +17,6 @@ import operator
 import numpy as np
 
 __all__ = [
-    "hash_bytes",
     "mix64",
     "mix64_pair",
     "fold_grain_signatures",
@@ -41,11 +33,6 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _SPLITMIX_GAMMA = np.uint64(_GAMMA)
 _MIX_1 = np.uint64(_M1)
 _MIX_2 = np.uint64(_M2)
-
-
-def hash_bytes(data: bytes) -> str:
-    """Return a 128-bit hex digest of ``data`` (stands in for ZFS SHA-256)."""
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 def mix64(values: np.ndarray | int) -> np.ndarray | np.uint64:

@@ -129,14 +129,14 @@ class IaaSCluster:
         )
         storage_pool = ZPool("scpool", capacity=pool_capacity)
         storage_pool.create_dataset(
-            SCVOLUME, record_size=block_size, compression=compression, dedup=True
+            SCVOLUME, record_size=block_size, compression=compression
         )
         # all nodes start with identical (empty) ccVolumes: one shared
         # blank pool, interned — nodes only diverge when their operation
         # histories do (see repro.core.replica)
         blank = ZPool("ccpool", capacity=pool_capacity)
         blank.create_dataset(
-            CCVOLUME, record_size=block_size, compression=compression, dedup=True
+            CCVOLUME, record_size=block_size, compression=compression
         )
         replicas = ReplicaStore(blank)
         compute = [

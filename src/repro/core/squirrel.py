@@ -558,7 +558,6 @@ class Squirrel:
                 chain.cc_name,
                 record_size=scds.record_size,
                 compression=scds.compression,
-                dedup=True,
                 domain=chain.domain,
             )
 

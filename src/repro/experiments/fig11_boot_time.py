@@ -54,9 +54,7 @@ class Fig11Result(ReportBase):
 def _build_ccvolume(ctx: ExperimentContext, block_size: int):
     estimator = ctx.estimator("gzip6", (block_size,))
     pool = ZPool(capacity=1 << 42)
-    volume = pool.create_dataset(
-        "ccvol", record_size=block_size, compression="gzip6", dedup=True
-    )
+    volume = pool.create_dataset("ccvol", record_size=block_size, compression="gzip6")
     for spec, stream in zip(ctx.specs, ctx.streams("caches")):
         view = block_view(stream, block_size)
         psizes = view.psizes(estimator)

@@ -199,12 +199,10 @@ class GlusterVolume:
         return self._served[name]
 
     def storage_read_load(self) -> dict[str, int]:
-        """Bytes served per storage node (the storage-bottleneck view)."""
-        load: dict[str, int] = {}
-        for group in self.groups:
-            for node in group:
-                load[node.name] = self.ledger.bytes_out_of(node.name)
-        return load
+        """Bytes served per storage node through the brick read path (the
+        storage-bottleneck view); uploads and storage-sourced multicasts or
+        seeding do not count as read load."""
+        return dict(self._served)
 
     def verify_served_accounting(self) -> dict[str, int]:
         """Cross-check the O(1) served tallies against the ledger.

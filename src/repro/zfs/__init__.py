@@ -5,7 +5,7 @@ The pieces map onto their ZFS namesakes:
 * :mod:`~repro.zfs.spa` — vdev space allocation,
 * :mod:`~repro.zfs.ddt` — the dedup table and its disk/RAM footprint,
 * :mod:`~repro.zfs.arc` — the adaptive replacement cache,
-* :mod:`~repro.zfs.zio` — the write/read pipeline,
+* :mod:`~repro.zfs.zio` — the dedup/allocation write pipeline,
 * :mod:`~repro.zfs.dmu`/:mod:`~repro.zfs.dataset` — objects, datasets,
   snapshots with deadlist semantics,
 * :mod:`~repro.zfs.send` — full/incremental replication streams,
@@ -13,7 +13,7 @@ The pieces map onto their ZFS namesakes:
 """
 
 from .arc import AdaptiveReplacementCache, ArcStats
-from .blockptr import HOLE, BlockPointer, byte_checksum_key, virtual_checksum_key
+from .blockptr import HOLE, BlockPointer, virtual_checksum_key
 from .dataset import Dataset, Snapshot
 from .ddt import DDT_ENTRY_CORE_BYTES, DDT_ENTRY_DISK_BYTES, DDTEntry, DedupTable
 from .dmu import FileObject
@@ -48,7 +48,6 @@ __all__ = [
     "ZPool",
     "ZioPipeline",
     "scrub",
-    "byte_checksum_key",
     "generate_send",
     "receive",
     "virtual_checksum_key",

@@ -6,23 +6,15 @@ its checksum (the dedup key), logical and physical sizes, compression, and
 written). Holes (unwritten / all-zero ranges) are block pointers too, with no
 checksum and zero physical size — exactly how ZFS represents sparse files.
 
-Checksums are opaque strings. Two disjoint key spaces are used so that the
-functional byte path and the accounting path can never collide:
-
-* ``"b:<hex>"`` — blake2b digest of materialised bytes,
-* ``"v:<u64>"`` — folded grain signature of a procedural (virtual) block.
+Checksums are opaque strings of the form ``"v:<u64>"``: the folded grain
+signature of a procedural (virtual) block, as hex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["BlockPointer", "HOLE", "byte_checksum_key", "virtual_checksum_key"]
-
-
-def byte_checksum_key(digest_hex: str) -> str:
-    """Checksum key for a materialised-bytes block."""
-    return f"b:{digest_hex}"
+__all__ = ["BlockPointer", "HOLE", "virtual_checksum_key"]
 
 
 def virtual_checksum_key(signature: int) -> str:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..common.errors import ObjectNotFoundError, SnapshotError, StorageError
-from ..common.units import ceil_div, validate_block_size
+from ..common.units import validate_block_size
 from .blockptr import BlockPointer
 from .dmu import FileObject
 
@@ -81,7 +81,6 @@ class Dataset:
         *,
         record_size: int,
         compression: str = "gzip6",
-        dedup: bool = True,
         zio=None,
     ) -> None:
         validate_block_size(record_size, grain=512)
@@ -89,7 +88,6 @@ class Dataset:
         self.name = name
         self.record_size = record_size
         self.compression = compression
-        self.dedup = dedup
         #: the I/O pipeline this dataset writes through. Defaults to the
         #: pool's global pipeline (one shared dedup domain); a sharded pool
         #: hands each shard dataset the pipeline of its own dedup domain.
@@ -130,22 +128,6 @@ class Dataset:
     def file_names(self) -> list[str]:
         return sorted(self._files)
 
-    def write_block(self, file_name: str, index: int, data: bytes) -> BlockPointer:
-        """Write one record of real bytes (creating the file when absent)."""
-        if len(data) > self.record_size:
-            raise StorageError(
-                f"block of {len(data)} bytes exceeds record size {self.record_size}"
-            )
-        obj = self._files.get(file_name) or self.create_file(file_name)
-        txg = self.pool.advance_txg()
-        result = self.zio.write_bytes(
-            data, txg=txg, compression=self.compression, dedup=self.dedup
-        )
-        old = obj.set_block(index, result.bp)
-        self._touched.add(file_name)
-        self._kill(old)
-        return result.bp
-
     def write_block_virtual(
         self,
         file_name: str,
@@ -165,28 +147,12 @@ class Dataset:
             psize=psize,
             txg=txg,
             compression=self.compression,
-            dedup=self.dedup,
             is_hole=is_hole,
         )
         old = obj.set_block(index, result.bp)
         self._touched.add(file_name)
         self._kill(old)
         return result.bp
-
-    def write_file(self, file_name: str, data: bytes) -> FileObject:
-        """Write a whole file of real bytes in record_size chunks."""
-        if file_name in self._files:
-            self.delete_file(file_name)
-        obj = self.create_file(file_name)
-        n_blocks = ceil_div(len(data), self.record_size) if data else 0
-        for index in range(n_blocks):
-            chunk = data[index * self.record_size : (index + 1) * self.record_size]
-            txg = self.pool.advance_txg()
-            result = self.zio.write_bytes(
-                chunk, txg=txg, compression=self.compression, dedup=self.dedup
-            )
-            obj.set_block(index, result.bp)
-        return obj
 
     def write_file_virtual(
         self,
@@ -210,29 +176,10 @@ class Dataset:
                 psize=psize,
                 txg=txg,
                 compression=self.compression,
-                dedup=self.dedup,
                 is_hole=is_hole,
             )
             obj.set_block(index, result.bp)
         return obj
-
-    def read_block(self, file_name: str, index: int) -> bytes:
-        """Read one record of a materialised file."""
-        bp = self.file(file_name).get_block(index)
-        if bp.is_hole:
-            return bytes(bp.lsize or self.record_size)
-        return self.zio.read_bytes(bp)
-
-    def read_file(self, file_name: str) -> bytes:
-        """Read a whole materialised file."""
-        obj = self.file(file_name)
-        parts = []
-        for bp in obj.blocks:
-            if bp.is_hole:
-                parts.append(bytes(bp.lsize or self.record_size))
-            else:
-                parts.append(self.zio.read_bytes(bp))
-        return b"".join(parts)
 
     def delete_file(self, file_name: str) -> None:
         obj = self.file(file_name)

@@ -1,8 +1,8 @@
 """The ZPool facade — what a node mounts.
 
-Owns the space map, the (charged) dedup table, the plain allocation table,
-the ARC, and the dataset namespace; hands out transaction groups. The
-resource metrics the paper reports per node are properties here:
+Owns the space map, the dedup table, the ARC, and the dataset namespace;
+hands out transaction groups. The resource metrics the paper reports per
+node are properties here:
 
 * ``disk_used_bytes``  — data after dedup+compression **plus** the on-disk
   DDT (the overhead measured in Figure 9);
@@ -56,11 +56,10 @@ class ZPool:
         self.name = name
         self.space = SpaceMap(capacity=capacity)
         self.ddt = DedupTable()
-        self.plain = DedupTable()
         self.arc: AdaptiveReplacementCache[str, bytes] = AdaptiveReplacementCache(
             arc_capacity
         )
-        self.zio = ZioPipeline(self.space, self.ddt, self.plain)
+        self.zio = ZioPipeline(self.space, self.ddt)
         #: named dedup *domains*: each is an independent DedupTable (plus a
         #: pipeline over the shared space map). ``None``/absent -> the global
         #: ``self.ddt``/``self.zio`` every dataset used before sharding.
@@ -75,7 +74,7 @@ class ZPool:
         entry = self._domains.get(name)
         if entry is None:
             ddt = DedupTable()
-            zio = ZioPipeline(self.space, ddt, DedupTable())
+            zio = ZioPipeline(self.space, ddt)
             entry = self._domains[name] = (ddt, zio)
         return entry
 
@@ -113,7 +112,6 @@ class ZPool:
         *,
         record_size: int = SQUIRREL_BLOCK_SIZE,
         compression: str = "gzip6",
-        dedup: bool = True,
         domain: str | None = None,
     ) -> Dataset:
         if name in self._datasets:
@@ -123,7 +121,6 @@ class ZPool:
             name,
             record_size=record_size,
             compression=compression,
-            dedup=dedup,
             zio=self.domain_zio(domain) if domain is not None else None,
         )
         self._datasets[name] = dataset

@@ -2,19 +2,21 @@
 
 Like ``zpool scrub``, but for the simulator's invariants instead of media
 errors: walks every dataset, snapshot, and deadlist of a pool, recomputes
-reference counts from scratch, and cross-checks them against the DDT and
+reference counts from scratch, and cross-checks them against the DDTs and
 space map. Squirrel deployments run it in tests and after failure-injection
 sequences; any discrepancy is a bug in the write/free paths, never
 expected operational state.
 
-Checked invariants:
+Every dedup domain of the pool (the global one and each named shard domain)
+keeps its own DDT, so references are counted per domain: the same checksum
+may live in two domains with independent refcounts. Checked invariants:
 
-1. every reachable checksum (live files + snapshots) has a DDT entry;
-2. every DDT entry's refcount equals reachable references plus deferred
-   frees parked on deadlists;
-3. allocated space equals the sector-aligned sum of live DDT entries;
-4. for materialised pools, every reachable block decompresses and matches
-   its checksum.
+1. every reachable checksum (live files + snapshots) has an entry in the
+   DDT of its dataset's domain;
+2. every DDT entry's refcount equals the reachable references plus deferred
+   frees parked on deadlists of the datasets in its domain;
+3. allocated space equals the sector-aligned sum of live DDT entries over
+   every domain.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class ScrubReport:
 
     datasets: int = 0
     blocks_checked: int = 0
-    payloads_verified: int = 0
     errors: list[str] = field(default_factory=list)
 
     @property
@@ -50,72 +51,71 @@ class ScrubReport:
             )
 
 
-def scrub(pool: ZPool, *, verify_payloads: bool = True) -> ScrubReport:
+@dataclass
+class _DomainTally:
+    """References one dedup domain's datasets hold, recounted from scratch."""
+
+    label: str
+    live: dict[str, int] = field(default_factory=dict)  #: held by live heads
+    deferred: dict[str, int] = field(default_factory=dict)  #: parked on deadlists
+    snapshot_reachable: set[str] = field(default_factory=set)
+
+
+def scrub(pool: ZPool) -> ScrubReport:
     """Verify a pool's reference/space accounting (see module docstring)."""
     report = ScrubReport()
-    live_refs: dict[str, int] = {}  #: references held by live heads
-    deferred: dict[str, int] = {}  #: kills parked on deadlists
-    snapshot_reachable: set[str] = set()
+    tallies = {pool.zio: _DomainTally("global")}
+    for name in pool.domain_names():
+        tallies[pool.domain_zio(name)] = _DomainTally(f"domain {name}")
 
     for name in pool.dataset_names():
         dataset = pool.dataset(name)
         report.datasets += 1
+        tally = tallies[dataset.zio]
         for bp in dataset.iter_live_blocks():
             if bp.is_hole:
                 continue
-            live_refs[bp.checksum] = live_refs.get(bp.checksum, 0) + 1
+            tally.live[bp.checksum] = tally.live.get(bp.checksum, 0) + 1
             report.blocks_checked += 1
         for snap in dataset.snapshots():
             for blocks in snap.files.values():
                 for bp in blocks:
                     if not bp.is_hole:
-                        snapshot_reachable.add(bp.checksum)
+                        tally.snapshot_reachable.add(bp.checksum)
                         report.blocks_checked += 1
         deadlists = [dataset._head_deadlist]  # noqa: SLF001 - scrub is privileged
         deadlists += [snap.deadlist for snap in dataset.snapshots()]
         for deadlist in deadlists:
             for bp in deadlist:
                 if not bp.is_hole:
-                    deferred[bp.checksum] = deferred.get(bp.checksum, 0) + 1
+                    tally.deferred[bp.checksum] = tally.deferred.get(bp.checksum, 0) + 1
 
-    # 1 + 2: reference counts. Snapshots do NOT hold refcounts (ZFS
-    # semantics): a reference is either live in a head or deferred on a
+    # 1 + 2: reference counts, per domain. Snapshots do NOT hold refcounts
+    # (ZFS semantics): a reference is either live in a head or deferred on a
     # deadlist; snapshot-only visibility is always backed by a deadlist entry.
-    for table in (pool.ddt, pool.plain):
-        for entry in table:
-            expected = live_refs.get(entry.checksum, 0) + deferred.get(
+    for zio, tally in tallies.items():
+        for entry in zio.ddt:
+            expected = tally.live.get(entry.checksum, 0) + tally.deferred.get(
                 entry.checksum, 0
             )
             if entry.refcount != expected:
                 report.errors.append(
-                    f"{entry.checksum}: refcount {entry.refcount}, "
+                    f"{tally.label} {entry.checksum}: refcount {entry.refcount}, "
                     f"live+deferred {expected}"
                 )
-    known = {e.checksum for e in pool.ddt} | {e.checksum for e in pool.plain}
-    for checksum in set(live_refs) | snapshot_reachable:
-        if checksum not in known:
-            report.errors.append(f"reachable block {checksum} missing from tables")
+        for checksum in sorted(tally.live.keys() | tally.snapshot_reachable):
+            if zio.ddt.lookup(checksum) is None:
+                report.errors.append(
+                    f"{tally.label}: reachable block {checksum} missing from its DDT"
+                )
 
-    # 3: space accounting
+    # 3: space accounting over every domain
     expected_alloc = sum(
-        align_up(e.psize, SECTOR_SIZE) for t in (pool.ddt, pool.plain) for e in t
+        align_up(entry.psize, SECTOR_SIZE) for zio in tallies for entry in zio.ddt
     )
     if expected_alloc != pool.space.allocated_bytes:
         report.errors.append(
             f"space map reports {pool.space.allocated_bytes} allocated, "
-            f"tables imply {expected_alloc}"
+            f"DDTs imply {expected_alloc}"
         )
-
-    # 4: payload integrity (bytes pools only)
-    if verify_payloads:
-        for name in pool.dataset_names():
-            dataset = pool.dataset(name)
-            for bp in dataset.iter_live_blocks():
-                if bp.is_hole or not bp.checksum.startswith(("b:", "a:")):
-                    continue
-                try:
-                    pool.zio.read_bytes(bp)
-                    report.payloads_verified += 1
-                except StorageError as exc:
-                    report.errors.append(f"payload {bp.checksum}: {exc}")
     return report

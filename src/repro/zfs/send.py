@@ -8,9 +8,8 @@ produces those streams and applies them.
 A stream is a list of records:
 
 * ``WRITE``    — one block of one file: carries the block pointer identity
-  (checksum, lsize, psize) and, for materialised blocks, the compressed
-  payload. Virtual blocks travel as signature + sizes (the receiver's pool
-  re-runs the same dedup bookkeeping).
+  (checksum, lsize, psize). Blocks travel as signature + sizes; the
+  receiver's pool re-runs the same dedup bookkeeping.
 * ``TRUNCATE`` — a file shrank (or was created fresh): gives new block count.
 * ``UNLINK``   — a file disappeared between the two snapshots.
 
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 from ..common.errors import SendStreamError
 from .blockptr import BlockPointer
@@ -32,7 +30,7 @@ from .dataset import Dataset, Snapshot
 __all__ = ["RecordKind", "SendRecord", "SendStream", "generate_send", "receive"]
 
 #: per-record wire overhead (drr header in real ZFS is 312 bytes; diffs here
-#: are dominated by payloads, so a compact fixed header is used)
+#: are dominated by block data, so a compact fixed header is used)
 RECORD_HEADER_BYTES = 48
 
 
@@ -53,7 +51,6 @@ class SendRecord:
     lsize: int = 0
     psize: int = 0
     compression: str = "off"
-    payload: bytes | None = None  #: logical bytes for materialised blocks
     block_count: int = 0  #: for TRUNCATE
 
     @property
@@ -102,9 +99,7 @@ def generate_send(
 
     An incremental stream contains every block of ``to_snapshot`` whose birth
     txg is newer than ``from_snapshot``'s txg — exactly ZFS's rule — plus
-    unlink/truncate records for namespace changes. A WRITE record carries
-    the block's bytes exactly when the pool stores them: materialised blocks
-    travel with their payload, virtual ones as signature + sizes.
+    unlink/truncate records for namespace changes.
     """
     to_snap = _snapshot_or_error(dataset, to_snapshot)
     if from_snapshot is None:
@@ -176,7 +171,6 @@ def generate_send(
                     lsize=bp.lsize,
                     psize=bp.psize,
                     compression=bp.compression,
-                    payload=dataset.zio.stored_bytes(bp),
                 )
             )
     return stream
@@ -229,8 +223,6 @@ def _apply_record(dataset: Dataset, record: SendRecord) -> None:
             psize=0,
             is_hole=True,
         )
-    elif record.payload is not None:
-        dataset.write_block(record.file_name, record.block_index, record.payload)
     elif record.checksum.startswith("v:"):
         signature = int(record.checksum[2:], 16)
         dataset.write_block_virtual(
@@ -242,13 +234,6 @@ def _apply_record(dataset: Dataset, record: SendRecord) -> None:
         )
     else:
         raise SendStreamError(
-            f"materialised record for {record.file_name}#{record.block_index} "
-            "has no payload"
+            f"record for {record.file_name}#{record.block_index} has "
+            f"unknown checksum {record.checksum!r}"
         )
-
-
-def iter_write_checksums(stream: SendStream) -> Iterable[str]:
-    """Checksums carried by a stream's write records (diagnostics)."""
-    for record in stream.records:
-        if record.kind is RecordKind.WRITE and record.checksum is not None:
-            yield record.checksum

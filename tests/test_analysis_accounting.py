@@ -31,7 +31,7 @@ class TestEquivalenceWithObjectPipeline:
         DDT entries, allocated bytes, disk, and memory."""
         accountant = PoolAccountant(estimator)
         pool = ZPool(capacity=1 << 40)
-        vol = pool.create_dataset("cc", record_size=65536, dedup=True)
+        vol = pool.create_dataset("cc", record_size=65536)
         for index, view in enumerate(views):
             psizes = view.psizes(estimator)
             vol.write_file_virtual(

@@ -42,7 +42,7 @@ class TestXfsFileBackend:
 
 def build_volume(block_size=65536, n_files=3, blocks_per_file=16):
     pool = ZPool(capacity=1 << 32)
-    volume = pool.create_dataset("cc", record_size=block_size, dedup=True)
+    volume = pool.create_dataset("cc", record_size=block_size)
     for f in range(n_files):
         volume.write_file_virtual(
             f"cache-{f}",
@@ -73,7 +73,7 @@ class TestCVolumeBackend:
 
     def test_hole_blocks_cost_nothing(self):
         pool = ZPool(capacity=1 << 30)
-        volume = pool.create_dataset("cc", record_size=65536, dedup=True)
+        volume = pool.create_dataset("cc", record_size=65536)
         volume.write_file_virtual("f", [(0, 65536, 0, True)])
         backend = CVolumeBackend(volume, "f", make_disk())
         assert backend.read_range(0, 65536) == 0.0

@@ -30,7 +30,7 @@ def sample(dataset):
 def build_cvolume(dataset, block_size):
     est = make_estimator("gzip6", (block_size,), samples_per_point=3)
     pool = ZPool(capacity=1 << 40)
-    vol = pool.create_dataset("ccvol", record_size=block_size, dedup=True)
+    vol = pool.create_dataset("ccvol", record_size=block_size)
     for spec in dataset:
         view = block_view(cache_stream(spec), block_size)
         psizes = view.psizes(est)

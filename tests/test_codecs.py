@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.codecs import (
     available_codecs,
     get_codec,
-    is_zero_block,
     lz4_compress,
     lz4_decompress,
     lzjb_compress,
@@ -170,24 +169,6 @@ class TestGzip:
 
         with pytest.raises(CodecError):
             GzipCodec(0)
-
-
-class TestZeroDetection:
-    def test_empty_is_zero(self):
-        assert is_zero_block(b"")
-
-    def test_all_zero(self):
-        assert is_zero_block(bytes(128 * 1024))
-
-    def test_single_nonzero_byte_detected(self):
-        data = bytearray(128 * 1024)
-        data[100_000] = 1
-        assert not is_zero_block(bytes(data))
-
-    def test_nonzero_in_final_partial_chunk(self):
-        data = bytearray(5000)
-        data[-1] = 7
-        assert not is_zero_block(bytes(data))
 
 
 class TestEffectiveSize:

@@ -10,19 +10,6 @@ from hypothesis import strategies as st
 from repro.common import hashing
 
 
-class TestHashBytes:
-    def test_deterministic(self):
-        assert hashing.hash_bytes(b"abc") == hashing.hash_bytes(b"abc")
-
-    def test_distinct_inputs_distinct_digests(self):
-        assert hashing.hash_bytes(b"abc") != hashing.hash_bytes(b"abd")
-
-    def test_digest_is_128_bit_hex(self):
-        digest = hashing.hash_bytes(b"")
-        assert len(digest) == 32
-        int(digest, 16)  # parses as hex
-
-
 class TestMix64:
     def test_scalar_roundtrip_type(self):
         out = hashing.mix64(5)

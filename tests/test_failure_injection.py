@@ -10,7 +10,7 @@ import pytest
 from repro.common.errors import PoolFullError, RegistrationError
 from repro.core import IaaSCluster, Squirrel
 from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
-from repro.zfs import ZPool
+from repro.zfs import ZPool, scrub
 
 BLOCK = 65536
 
@@ -34,34 +34,28 @@ class TestPoolExhaustion:
     def test_full_pool_raises_cleanly(self):
         pool = ZPool(capacity=8192)
         ds = pool.create_dataset("d", record_size=4096, compression="off")
-        import numpy as np
-
-        rng = np.random.default_rng(0)
         with pytest.raises(PoolFullError):
             for i in range(10):
-                ds.write_block(
-                    "f", i, bytes(rng.integers(0, 256, 4096, dtype=np.uint8))
-                )
+                ds.write_block_virtual("f", i, signature=i, lsize=4096, psize=4096)
 
     def test_accounting_consistent_after_failure(self):
         pool = ZPool(capacity=8192)
         ds = pool.create_dataset("d", record_size=4096, compression="off")
-        import numpy as np
-
-        rng = np.random.default_rng(0)
         written = 0
         try:
             for i in range(10):
-                ds.write_block(
-                    "f", i, bytes(rng.integers(0, 256, 4096, dtype=np.uint8))
-                )
+                ds.write_block_virtual("f", i, signature=i, lsize=4096, psize=4096)
                 written += 1
         except PoolFullError:
             pass
-        # every successful write is still readable; space accounting intact
-        for i in range(written):
-            assert len(ds.read_block("f", i)) == 4096
+        # every successful write is still mapped and allocated; the failed
+        # one left no DDT entry behind
+        assert written == 2
+        blocks = ds.file("f").blocks
+        assert [bp.psize for bp in blocks] == [4096] * written
         assert pool.data_bytes == written * 4096
+        assert pool.ddt.entry_count == written
+        scrub(pool).raise_if_dirty()
 
 
 class TestNodeChurn:
@@ -158,10 +152,31 @@ class TestScrubAfterChaos:
     """After any churn sequence, every pool in the cluster scrubs clean."""
 
     def test_all_pools_clean_after_churn(self, dataset):
-        from repro.zfs import scrub
+        self._churn_then_scrub(make_squirrel(n_compute=3), dataset.images)
+
+    def test_all_pools_clean_after_two_shard_churn(self, dataset):
+        """Each shard is its own dedup domain: images 2 and 10 share cache
+        blocks, outlive the churn, and sit in different shards, so the same
+        signatures live in both shards' DDTs."""
+        from repro.core.cvolume import ShardPlan
 
         squirrel = make_squirrel(n_compute=3)
-        images = iter(dataset.images)
+        plan = ShardPlan("tenant", ("s00", "s01"), {2: "s00", 10: "s01"})
+        squirrel.shard_cvolume(plan)
+        order = [dataset.images[i] for i in (4, 5, 6, 10, 1, 2)]
+        self._churn_then_scrub(squirrel, order)
+        assert {2, 10} <= set(squirrel.registered_ids())
+        for pool in [squirrel.cluster.storage.pool] + [
+            node.pool for node in squirrel.cluster.compute
+        ]:
+            shared = {e.checksum for e in pool.domain_ddt("s00")} & {
+                e.checksum for e in pool.domain_ddt("s01")
+            }
+            assert shared, pool.name
+
+    @staticmethod
+    def _churn_then_scrub(squirrel, images):
+        images = iter(images)
         node = squirrel.cluster.node("compute1")
         for _ in range(3):
             node.online = False

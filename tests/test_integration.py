@@ -152,28 +152,41 @@ class TestLifecycle:
 
 
 class TestBytesModeDeployment:
-    """A miniature deployment over the *materialised* content path: real
-    bytes, real codecs, end-to-end through register/receive/read."""
+    """A miniature deployment over the write path the runs use: one image's
+    cache, signatures from its grain stream, psizes from the real-codec
+    calibrated estimator, end-to-end through write/send/receive."""
 
     def test_real_bytes_round_trip_through_replication(self):
-        from repro.vmi import materialize_block
         from repro.zfs import ZPool, generate_send, receive
 
         dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 8192))
-        spec = dataset.images[0]
-        stream = cache_stream(spec)
-        view = block_view(stream, 4096)
+        view = block_view(cache_stream(dataset.images[0]), 4096)
+        psizes = view.psizes(make_estimator("gzip6", (4096,), samples_per_point=2))
+        rows = list(
+            zip(
+                view.signatures.tolist(),
+                view.lsizes.tolist(),
+                psizes.tolist(),
+                view.is_hole.tolist(),
+            )
+        )
 
         source_pool = ZPool(capacity=1 << 30)
         scvol = source_pool.create_dataset("scvol", record_size=4096)
-        payload = materialize_block(stream[:64])  # first 64 grains = 16 blocks
-        scvol.write_file("cache-0", payload)
+        scvol.write_file_virtual("cache-0", rows)
         scvol.snapshot("v1")
 
         target_pool = ZPool(capacity=1 << 30)
         ccvol = target_pool.create_dataset("ccvol", record_size=4096)
-        receive(ccvol, generate_send(scvol, "v1"))
-        assert ccvol.read_file("cache-0") == payload
-        # dedup found the duplicate grains across the wire too
-        assert target_pool.ddt.entry_count == source_pool.ddt.entry_count
-        assert view.block_size == 4096  # (sanity: view built consistently)
+        stream = generate_send(scvol, "v1")
+        receive(ccvol, stream)
+        sent = scvol.file("cache-0").blocks
+        got = ccvol.file("cache-0").blocks
+        assert [(bp.checksum, bp.lsize, bp.psize) for bp in got] == [
+            (bp.checksum, bp.lsize, bp.psize) for bp in sent
+        ]
+        # dedup found the duplicate blocks across the wire too
+        distinct = {sig for sig, _, _, hole in rows if not hole}
+        assert target_pool.ddt.entry_count == source_pool.ddt.entry_count == len(distinct)
+        assert target_pool.data_bytes == source_pool.data_bytes
+        assert 0 < stream.size_bytes < stream.logical_bytes

@@ -136,6 +136,32 @@ class TestServedAccounting:
         computed = volume.verify_served_accounting()
         assert sum(computed.values()) == 256 * 1024
 
+    def test_read_load_after_registrations_is_brick_service(self):
+        """Registration multicasts leave the primary brick but are not brick
+        reads: read load equals the served tallies, cold boots included."""
+        from repro.core import IaaSCluster, Squirrel
+        from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+
+        dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+        cluster = IaaSCluster.build(n_compute=4, n_storage=4, block_size=65536)
+        squirrel = Squirrel(
+            cluster=cluster,
+            estimator=make_estimator("gzip6", (65536,), samples_per_point=2),
+        )
+        late = cluster.node("compute3")
+        late.online = False
+        for spec in dataset.images[:4]:
+            squirrel.register(spec)
+        late.online = True
+        squirrel.boot(dataset.images[0].image_id, "compute3")  # cold: no cache
+        gluster = cluster.storage.gluster
+        load = gluster.storage_read_load()
+        assert load == {name: gluster.served_bytes(name) for name in load}
+        assert sum(load.values()) > 0
+        assert sum(load.values()) == sum(gluster.verify_served_accounting().values())
+        egress = {name: cluster.ledger.bytes_out_of(name) for name in load}
+        assert any(egress[name] > load[name] for name in load)  # the multicasts
+
     def test_divergence_is_detected(self, volume):
         volume.create_file("vmi-1", 1 << 20)
         volume.read("vmi-1", 0, 256 * 1024, reader="c0")

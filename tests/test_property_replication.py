@@ -14,10 +14,7 @@ from repro.analysis import cross_similarity, dedup_ratio
 from repro.vmi import block_view
 from repro.zfs import ZPool, generate_send, receive
 
-
-def block(tag: int, size: int = 4096) -> bytes:
-    seed = (tag % 251 + 1).to_bytes(4, "little") * 16
-    return (seed * (size // len(seed) + 1))[:size]
+from .zfs_blocks import write
 
 
 def fingerprint(ds):
@@ -66,7 +63,7 @@ class TestReplicationProperty:
         for index, (op, file_sel, block_idx, tag) in enumerate(ops):
             file_name = f"f{file_sel}"
             if op == "write":
-                src.write_block(file_name, block_idx, block(tag))
+                write(src, file_name, block_idx, tag)
             elif op == "delete" and src.has_file(file_name):
                 src.delete_file(file_name)
             if (index + 1) % snapshot_every == 0:
@@ -84,7 +81,7 @@ class TestReplicationProperty:
         src_pool = ZPool(capacity=64 << 20)
         src = src_pool.create_dataset("s", record_size=4096)
         for index, tag in enumerate(tags):
-            src.write_block("f", index, block(tag))
+            write(src, "f", index, tag)
         src.snapshot("v1")
         dst_pool = ZPool(capacity=64 << 20)
         dst = dst_pool.create_dataset("d", record_size=4096)

@@ -8,22 +8,18 @@ from hypothesis import strategies as st
 from repro.common.errors import SnapshotError
 from repro.zfs import ZPool
 
+from .zfs_blocks import allocated, checksum, write
+
 
 def make_pool():
     return ZPool(capacity=256 << 20, arc_capacity=1 << 20)
-
-
-def block(tag: int, size: int = 4096) -> bytes:
-    """Deterministic distinct, compressible block content per tag."""
-    seed = tag.to_bytes(4, "little") * 16
-    return (seed * (size // len(seed) + 1))[:size]
 
 
 class TestSnapshotBasics:
     def test_snapshot_captures_files(self):
         pool = make_pool()
         ds = pool.create_dataset("d", record_size=4096)
-        ds.write_block("f", 0, block(1))
+        write(ds, "f", 0, 1)
         snap = ds.snapshot("s1")
         assert "f" in snap.files
         assert len(snap.files["f"]) == 1
@@ -38,10 +34,11 @@ class TestSnapshotBasics:
     def test_snapshot_isolated_from_later_writes(self):
         pool = make_pool()
         ds = pool.create_dataset("d", record_size=4096)
-        ds.write_block("f", 0, block(1))
+        write(ds, "f", 0, 1)
         snap = ds.snapshot("s1")
-        ds.write_block("f", 0, block(2))
-        assert snap.files["f"][0].checksum != ds.file("f").get_block(0).checksum
+        write(ds, "f", 0, 2)
+        assert snap.files["f"][0].checksum == checksum(1)
+        assert ds.file("f").get_block(0).checksum == checksum(2)
 
     def test_snapshots_ordered(self):
         pool = make_pool()
@@ -57,79 +54,69 @@ class TestDeadlistSemantics:
     def test_overwrite_after_snapshot_defers_free(self):
         pool = make_pool()
         ds = pool.create_dataset("d", record_size=4096)
-        ds.write_block("f", 0, block(1))
-        used_one_block = pool.data_bytes
+        write(ds, "f", 0, 1)
+        assert pool.data_bytes == allocated(1)
         ds.snapshot("s1")
-        ds.write_block("f", 0, block(2))
+        write(ds, "f", 0, 2)
         # both versions alive: snapshot pins the old block
-        assert pool.data_bytes == 2 * used_one_block
+        assert pool.data_bytes == allocated(1, 2)
 
     def test_destroying_snapshot_frees_pinned_block(self):
         pool = make_pool()
         ds = pool.create_dataset("d", record_size=4096)
-        ds.write_block("f", 0, block(1))
-        used_one_block = pool.data_bytes
+        write(ds, "f", 0, 1)
         ds.snapshot("s1")
-        ds.write_block("f", 0, block(2))
+        write(ds, "f", 0, 2)
         ds.destroy_snapshot("s1")
-        assert pool.data_bytes == used_one_block
+        assert pool.data_bytes == allocated(2)
 
     def test_overwrite_without_snapshot_frees_now(self):
         pool = make_pool()
         ds = pool.create_dataset("d", record_size=4096)
-        ds.write_block("f", 0, block(1))
-        used_one_block = pool.data_bytes
-        ds.write_block("f", 0, block(2))
-        assert pool.data_bytes == used_one_block
+        write(ds, "f", 0, 1)
+        write(ds, "f", 0, 2)
+        assert pool.data_bytes == allocated(2)
 
     def test_block_shared_by_two_snapshots_survives_one_destroy(self):
         pool = make_pool()
         ds = pool.create_dataset("d", record_size=4096)
-        ds.write_block("f", 0, block(1))
+        write(ds, "f", 0, 1)
         ds.snapshot("s1")
         ds.snapshot("s2")
-        ds.write_block("f", 0, block(2))
-        one = _single_block_psize(pool, block(1))
-        ds.destroy_snapshot("s2")  # s1 still pins block(1)
-        assert pool.data_bytes == 2 * one  # block(1) pinned by s1, block(2) live
-        # the old block must still be readable through s1's pointer
+        write(ds, "f", 0, 2)
+        ds.destroy_snapshot("s2")  # s1 still pins block 1
+        assert pool.data_bytes == allocated(1, 2)  # 1 pinned by s1, 2 live
+        # s1's pointer must still resolve to the old block's DDT entry
         bp = ds.get_snapshot("s1").files["f"][0]
-        assert pool.zio.read_bytes(bp) == block(1)
+        assert bp.checksum == checksum(1)
+        assert pool.ddt.lookup(bp.checksum).refcount == 1
 
     def test_destroy_middle_snapshot(self):
         pool = make_pool()
         ds = pool.create_dataset("d", record_size=4096)
-        ds.write_block("f", 0, block(1))
+        write(ds, "f", 0, 1)
         ds.snapshot("s1")
-        ds.write_block("f", 0, block(2))
+        write(ds, "f", 0, 2)
         ds.snapshot("s2")
-        ds.write_block("f", 0, block(3))
+        write(ds, "f", 0, 3)
         ds.snapshot("s3")
-        one = _single_block_psize(pool, block(1))
-        ds.destroy_snapshot("s2")  # only s2 referenced block(2)
-        assert pool.zio.read_bytes(ds.get_snapshot("s1").files["f"][0]) == block(1)
-        assert pool.zio.read_bytes(ds.get_snapshot("s3").files["f"][0]) == block(3)
-        # block(2) freed; block(1) pinned by s1; block(3) shared by s3 + head
-        assert pool.data_bytes == 2 * one
+        ds.destroy_snapshot("s2")  # only s2 referenced block 2
+        assert ds.get_snapshot("s1").files["f"][0].checksum == checksum(1)
+        assert ds.get_snapshot("s3").files["f"][0].checksum == checksum(3)
+        # block 2 freed; block 1 pinned by s1; block 3 shared by s3 + head
+        assert pool.ddt.lookup(checksum(2)) is None
+        assert pool.data_bytes == allocated(1, 3)
 
     def test_dataset_destroy_reclaims_everything(self):
         pool = make_pool()
         ds = pool.create_dataset("d", record_size=4096)
         for i in range(5):
-            ds.write_block("f", i, block(i + 1))
+            write(ds, "f", i, i + 1)
             ds.snapshot(f"s{i}")
-            ds.write_block("f", i, block(100 + i))
+            write(ds, "f", i, 100 + i)
         pool.destroy_dataset("d")
         assert pool.data_bytes == 0
         assert pool.ddt.entry_count == 0
-
-
-def _single_block_psize(pool, data: bytes) -> int:
-    """Sector-aligned allocation for one copy of ``data`` in a scratch pool."""
-    scratch = ZPool(capacity=16 << 20)
-    ds = scratch.create_dataset("x", record_size=4096)
-    ds.write_block("f", 0, data)
-    return scratch.data_bytes
 
 
 def _oracle_referenced(pool, ds) -> dict[str, int]:
@@ -167,7 +154,7 @@ class TestReachabilityOracle:
         snap_serial = 0
         for op, sel, tag in ops:
             if op == "write":
-                ds.write_block("f", sel, block(tag + 1))
+                write(ds, "f", sel, tag + 1)
             elif op == "snap":
                 snap_serial += 1
                 ds.snapshot(f"s{snap_serial}")
@@ -204,7 +191,7 @@ class TestReachabilityOracle:
         serial = 0
         for kind, sel in rng_ops:
             if kind == 0:
-                ds.write_block("f", sel, block(sel + 1))
+                write(ds, "f", sel, sel + 1)
             elif kind == 1:
                 serial += 1
                 ds.snapshot(f"s{serial}")

@@ -1,17 +1,13 @@
 """Tests for the pool scrubber — and property tests using it as an oracle."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import StorageError
-from repro.zfs import ZPool, scrub
+from repro.zfs import ShardedPool, ZPool, scrub
 
-
-def block(tag: int, size: int = 4096) -> bytes:
-    seed = (tag % 250 + 1).to_bytes(4, "little") * 16
-    return (seed * (size // len(seed) + 1))[:size]
+from .zfs_blocks import checksum, write, write_file
 
 
 class TestCleanPools:
@@ -23,17 +19,16 @@ class TestCleanPools:
     def test_simple_pool_is_clean(self):
         pool = ZPool(capacity=64 << 20)
         ds = pool.create_dataset("d", record_size=4096)
-        ds.write_file("f", block(1) + block(2))
+        write_file(ds, "f", [1, 2])
         ds.snapshot("s1")
-        ds.write_block("f", 0, block(3))
+        write(ds, "f", 0, 3)
         report = scrub(pool)
         assert report.clean
-        assert report.blocks_checked >= 4
-        assert report.payloads_verified >= 2
+        assert report.blocks_checked == 4  # 2 live + 2 through @s1
 
     def test_virtual_pool_is_clean(self):
         pool = ZPool(capacity=64 << 20)
-        ds = pool.create_dataset("d", record_size=4096, dedup=True)
+        ds = pool.create_dataset("d", record_size=4096)
         ds.write_file_virtual("f", [(7, 4096, 512, False), (8, 4096, 512, False)])
         ds.snapshot("s1")
         ds.delete_file("f")
@@ -44,12 +39,26 @@ class TestCleanPools:
         report = scrub(ZPool(capacity=1 << 20))
         report.raise_if_dirty()
 
+    def test_sharded_pool_is_clean(self):
+        """Each dedup domain keeps its own DDT: one signature stored in two
+        shards is two entries with independent refcounts, not an error."""
+        pool = ZPool(capacity=64 << 20)
+        sp = ShardedPool.create(pool, "scvol", ("s00", "s01"), record_size=4096)
+        write_file(sp.dataset("s00"), "a", [1, 2])
+        write_file(sp.dataset("s01"), "b", [1, 1])
+        sp.dataset("s00").snapshot("v1")
+        write(sp.dataset("s00"), "a", 0, 3)
+        report = scrub(pool)
+        assert report.errors == []
+        assert sp.ddt("s00").lookup(checksum(1)).refcount == 1  # deferred @v1
+        assert sp.ddt("s01").lookup(checksum(1)).refcount == 2
+
 
 class TestCorruptionDetection:
     def test_detects_refcount_drift(self):
         pool = ZPool(capacity=64 << 20)
         ds = pool.create_dataset("d", record_size=4096)
-        ds.write_block("f", 0, block(1))
+        write(ds, "f", 0, 1)
         entry = next(iter(pool.ddt))
         entry.refcount += 1  # simulated accounting bug
         report = scrub(pool)
@@ -61,18 +70,33 @@ class TestCorruptionDetection:
     def test_detects_space_drift(self):
         pool = ZPool(capacity=64 << 20)
         ds = pool.create_dataset("d", record_size=4096)
-        ds.write_block("f", 0, block(1))
+        write(ds, "f", 0, 1)
         pool.space._allocated += 512  # noqa: SLF001 - simulated leak
         report = scrub(pool)
         assert any("space map" in error for error in report.errors)
 
-    def test_detects_missing_payload(self):
+    def test_detects_refcount_drift_inside_a_domain(self):
+        """The same signature lives in both shards; drift in one shard's
+        entry is caught and blamed on that domain alone."""
         pool = ZPool(capacity=64 << 20)
-        ds = pool.create_dataset("d", record_size=4096)
-        ds.write_block("f", 0, block(1))
-        pool.zio._blockstore.clear()  # noqa: SLF001 - simulated data loss
+        sp = ShardedPool.create(pool, "scvol", ("s00", "s01"), record_size=4096)
+        write_file(sp.dataset("s00"), "a", [1])
+        write_file(sp.dataset("s01"), "a", [1])
+        sp.ddt("s01").lookup(checksum(1)).refcount += 1  # simulated bug
         report = scrub(pool)
-        assert any("payload" in error for error in report.errors)
+        assert len(report.errors) == 1
+        assert "domain s01" in report.errors[0]
+        assert "refcount 2, live+deferred 1" in report.errors[0]
+
+    def test_detects_space_drift_across_domains(self):
+        pool = ZPool(capacity=64 << 20)
+        sp = ShardedPool.create(pool, "scvol", ("s00", "s01"), record_size=4096)
+        write_file(sp.dataset("s00"), "a", [1, 2])
+        write_file(sp.dataset("s01"), "a", [1])
+        assert scrub(pool).clean
+        pool.space._allocated -= 512  # noqa: SLF001 - simulated double free
+        report = scrub(pool)
+        assert any("space map" in error for error in report.errors)
 
 
 class TestScrubAsOracle:
@@ -97,9 +121,9 @@ class TestScrubAsOracle:
         serial = 0
         for op, sel, tag in ops:
             if op == "write":
-                ds.write_block("f", sel, block(tag))
+                write(ds, "f", sel, tag)
             elif op == "wholefile":
-                ds.write_file(f"g{sel}", block(tag) + block(tag + 1))
+                write_file(ds, f"g{sel}", [tag, tag + 1])
             elif op == "snap":
                 serial += 1
                 ds.snapshot(f"s{serial}")
@@ -119,7 +143,7 @@ class TestScrubAsOracle:
         src_pool = ZPool(capacity=64 << 20)
         src = src_pool.create_dataset("s", record_size=4096)
         for index, tag in enumerate(tags):
-            src.write_block("f", index, block(tag))
+            write(src, "f", index, tag)
         src.snapshot("v1")
         dst_pool = ZPool(capacity=64 << 20)
         dst = dst_pool.create_dataset("d", record_size=4096)

@@ -4,23 +4,20 @@ import pytest
 
 from repro.common.errors import SendStreamError
 from repro.zfs import ZPool, generate_send, receive
-from repro.zfs.send import RecordKind
+from repro.zfs.send import RecordKind, SendRecord, SendStream
+
+from .zfs_blocks import checksum, checksums, write, write_file
 
 
 def make_pool():
     return ZPool(capacity=256 << 20, arc_capacity=1 << 20)
 
 
-def block(tag: int, size: int = 4096) -> bytes:
-    seed = tag.to_bytes(4, "little") * 16
-    return (seed * (size // len(seed) + 1))[:size]
-
-
 @pytest.fixture
 def sender():
     pool = make_pool()
     ds = pool.create_dataset("scvol", record_size=4096)
-    ds.write_file("cache-a", block(1) + block(2))
+    write_file(ds, "cache-a", [1, 2])
     ds.snapshot("v1")
     return pool, ds
 
@@ -32,14 +29,14 @@ class TestFullSend:
         dst = dst_pool.create_dataset("ccvol", record_size=4096)
         stream = generate_send(src, "v1")
         receive(dst, stream)
-        assert dst.read_file("cache-a") == block(1) + block(2)
+        assert checksums(dst, "cache-a") == [checksum(1), checksum(2)]
         assert dst.has_snapshot("v1")
 
     def test_full_into_nonempty_rejected(self, sender):
         _, src = sender
         dst_pool = make_pool()
         dst = dst_pool.create_dataset("ccvol", record_size=4096)
-        dst.write_block("junk", 0, block(9))
+        write(dst, "junk", 0, 9)
         with pytest.raises(SendStreamError, match="non-empty"):
             receive(dst, generate_send(src, "v1"))
 
@@ -52,7 +49,7 @@ class TestFullSend:
 class TestIncrementalSend:
     def test_incremental_carries_only_new_blocks(self, sender):
         _, src = sender
-        src.write_file("cache-b", block(3))
+        write_file(src, "cache-b", [3])
         src.snapshot("v2")
         stream = generate_send(src, "v2", from_snapshot="v1")
         writes = [r for r in stream.records if r.kind is RecordKind.WRITE]
@@ -63,16 +60,16 @@ class TestIncrementalSend:
         dst_pool = make_pool()
         dst = dst_pool.create_dataset("ccvol", record_size=4096)
         receive(dst, generate_send(src, "v1"))
-        src.write_file("cache-b", block(3))
+        write_file(src, "cache-b", [3])
         src.snapshot("v2")
         receive(dst, generate_send(src, "v2", from_snapshot="v1"))
-        assert dst.read_file("cache-b") == block(3)
-        assert dst.read_file("cache-a") == block(1) + block(2)
+        assert checksums(dst, "cache-b") == [checksum(3)]
+        assert checksums(dst, "cache-a") == [checksum(1), checksum(2)]
         assert dst.latest_snapshot().name == "v2"
 
     def test_incremental_needs_matching_source(self, sender):
         _, src = sender
-        src.write_file("cache-b", block(3))
+        write_file(src, "cache-b", [3])
         src.snapshot("v2")
         dst_pool = make_pool()
         dst = dst_pool.create_dataset("ccvol", record_size=4096)
@@ -91,7 +88,7 @@ class TestIncrementalSend:
         dst = dst_pool.create_dataset("ccvol", record_size=4096)
         receive(dst, generate_send(src, "v1"))
         src.delete_file("cache-a")
-        src.write_file("cache-b", block(3))
+        write_file(src, "cache-b", [3])
         src.snapshot("v2")
         receive(dst, generate_send(src, "v2", from_snapshot="v1"))
         assert not dst.has_file("cache-a")
@@ -101,10 +98,10 @@ class TestIncrementalSend:
         dst_pool = make_pool()
         dst = dst_pool.create_dataset("ccvol", record_size=4096)
         receive(dst, generate_send(src, "v1"))
-        src.write_block("cache-a", 0, block(7))
+        write(src, "cache-a", 0, 7)
         src.snapshot("v2")
         receive(dst, generate_send(src, "v2", from_snapshot="v1"))
-        assert dst.read_file("cache-a") == block(7) + block(2)
+        assert checksums(dst, "cache-a") == [checksum(7), checksum(2)]
 
     def test_duplicate_target_snapshot_rejected(self, sender):
         _, src = sender
@@ -147,21 +144,19 @@ class TestVirtualStreams:
         assert dst_pool.data_bytes == used
         assert dst_pool.ddt.lookup("v:" + format(11, "016x")).refcount == 2
 
-    def test_payload_travels_exactly_when_the_pool_stores_one(self):
-        """Materialised blocks carry their bytes, virtual ones (even plain,
-        non-dedup ones) travel payload-free."""
-        pool = make_pool()
-        src = pool.create_dataset("scvol", record_size=4096, dedup=False)
-        src.write_file("real", block(1))
-        src.write_file_virtual("virtual", [(11, 4096, 512, False)])
-        src.snapshot("v1")
-        writes = {
-            record.file_name: record
-            for record in generate_send(src, "v1").records
-            if record.kind is RecordKind.WRITE
-        }
-        assert writes["real"].payload == block(1)
-        assert writes["virtual"].payload is None
+    def test_unknown_checksum_rejected(self):
+        """A WRITE record whose checksum is neither a hole nor a signature
+        key is input the receiver cannot apply."""
+        dst = make_pool().create_dataset("ccvol", record_size=4096)
+        stream = SendStream(
+            "scvol",
+            None,
+            "v1",
+            [SendRecord(RecordKind.WRITE, "f", checksum="b:00ff", lsize=4096, psize=512)],
+        )
+        with pytest.raises(SendStreamError, match="unknown checksum"):
+            receive(dst, stream)
+        assert not dst.has_snapshot("v1")
 
     def test_hole_records_apply(self):
         pool = make_pool()
@@ -186,23 +181,24 @@ class TestDeleteRecreate:
         src = src_pool.create_dataset("s", record_size=4096)
         dst_pool = make_pool()
         dst = dst_pool.create_dataset("d", record_size=4096)
-        src.write_block("f", 0, block(1))
+        write(src, "f", 0, 1)
         src.snapshot("v1")
         receive(dst, generate_send(src, "v1"))
         src.delete_file("f")
-        src.write_block("f", 1, block(1))  # same content, different shape
+        write(src, "f", 1, 1)  # same content, different shape
         src.snapshot("v2")
         receive(dst, generate_send(src, "v2", from_snapshot="v1"))
         assert dst.file("f").get_block(0).is_hole
-        assert not dst.file("f").get_block(1).is_hole
-        assert dst.read_file("f") == bytes(4096) + block(1)
+        assert checksums(dst, "f") == [None, checksum(1)]
+        # the new reference plus the old one @v1 still pins (deferred)
+        assert dst_pool.ddt.lookup(checksum(1)).refcount == 2
 
     def test_trailing_holes_replicate(self):
         src_pool = make_pool()
         src = src_pool.create_dataset("s", record_size=4096)
         dst_pool = make_pool()
         dst = dst_pool.create_dataset("d", record_size=4096)
-        src.write_block("f", 0, block(2))
+        write(src, "f", 0, 2)
         src.file("f").set_block(3, src.file("f").get_block(3))  # grow w/ holes
         src.snapshot("v1")
         receive(dst, generate_send(src, "v1"))

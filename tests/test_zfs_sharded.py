@@ -7,14 +7,12 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.zfs import ShardedPool, ZPool
 
+from .zfs_blocks import write_file
+
 
 @pytest.fixture
 def pool():
     return ZPool(capacity=64 << 20, arc_capacity=1 << 20)
-
-
-def _payload(tag: str, n: int = 4096) -> bytes:
-    return (tag.encode() * n)[:n]
 
 
 class TestAdoptedSingleShard:
@@ -36,9 +34,9 @@ class TestAdoptedSingleShard:
         pds = plain.create_dataset("scvol", record_size=4096)
         wds = wrapped.create_dataset("scvol", record_size=4096)
         sp = ShardedPool.adopt(wrapped, "scvol", "s00")
-        for name in ("a", "b"):
-            pds.write_file(name, _payload(name, 8192))
-            sp.dataset("s00").write_file(name, _payload(name, 8192))
+        for name, tags in (("a", [1, 2]), ("b", [2, 3])):
+            write_file(pds, name, tags)
+            write_file(sp.dataset("s00"), name, tags)
         assert wrapped.stats() == plain.stats()
         assert wrapped.dedup_ratio() == plain.dedup_ratio()
         assert wds.referenced_psize == pds.referenced_psize
@@ -46,7 +44,7 @@ class TestAdoptedSingleShard:
     def test_quota_zero_never_evicts(self, pool):
         pool.create_dataset("scvol", record_size=4096)
         sp = ShardedPool.adopt(pool, "scvol", "s00")
-        sp.dataset("s00").write_file("a", _payload("a"))
+        write_file(sp.dataset("s00"), "a", [1])
         sp.note_file("s00", "a")
         assert sp.ensure_quota("s00") == []
         assert sp.quota_pressure("s00") == 0.0
@@ -64,10 +62,10 @@ class TestMultiShardDomains:
         """The same content written to two shards costs two DDT entries —
         the dedup loss a global domain would not pay."""
         sp = ShardedPool.create(pool, "scvol", ("s00", "s01"), record_size=4096)
-        data = _payload("x") + _payload("y")  # two distinct 4 KiB records
-        sp.dataset("s00").write_file("f", data)
+        tags = [1, 2]  # two distinct 4 KiB records
+        write_file(sp.dataset("s00"), "f", tags)
         assert sp.dedup_loss_bytes() == 0
-        sp.dataset("s01").write_file("f", data)
+        write_file(sp.dataset("s01"), "f", tags)
         assert sp.duplicate_entries() == 2  # both checksums live in both DDTs
         assert sp.dedup_loss_bytes() > 0
         # aggregate pool accounting sums the default domain + every shard
@@ -77,9 +75,9 @@ class TestMultiShardDomains:
 
     def test_within_shard_dedup_still_works(self, pool):
         sp = ShardedPool.create(pool, "scvol", ("s00",), record_size=4096)
-        sp.dataset("s00").write_file("a", _payload("y"))
+        write_file(sp.dataset("s00"), "a", [2])
         entries = sp.ddt("s00").entry_count
-        sp.dataset("s00").write_file("b", _payload("y"))
+        write_file(sp.dataset("s00"), "b", [2])
         assert sp.ddt("s00").entry_count == entries  # refcount, not a copy
 
     def test_peek_domain_does_not_create(self, pool):
@@ -96,8 +94,8 @@ class TestQuotaEviction:
     def test_evicts_oldest_first(self, pool):
         sp = self._sharded(pool, quota=1)  # any write busts a 1-byte quota
         ds = sp.dataset("s00")
-        for name in ("old", "mid", "new"):
-            ds.write_file(name, _payload(name))
+        for tag, name in enumerate(("old", "mid", "new")):
+            write_file(ds, name, [tag])
             sp.note_file("s00", name)
         evicted = sp.ensure_quota("s00", keep=("new",))
         assert evicted == ["old", "mid"]
@@ -108,7 +106,7 @@ class TestQuotaEviction:
     def test_keep_protects_the_fresh_hoard(self, pool):
         sp = self._sharded(pool, quota=1)
         ds = sp.dataset("s00")
-        ds.write_file("only", _payload("o"))
+        write_file(ds, "only", [1])
         sp.note_file("s00", "only")
         assert sp.ensure_quota("s00", keep=("only",)) == []
         assert ds.has_file("only")
@@ -118,18 +116,18 @@ class TestQuotaEviction:
             pool, "scvol", ("s00",), record_size=4096, quota_bytes=1 << 20
         )
         assert sp.quota_pressure("s00") == 0.0
-        sp.dataset("s00").write_file("a", _payload("a"))
+        write_file(sp.dataset("s00"), "a", [1])
         assert sp.quota_pressure("s00") > 0.0
 
     def test_core_high_water_is_monotone(self, pool):
         sp = self._sharded(pool, quota=1)
         ds = sp.dataset("s00")
-        ds.write_file("a", _payload("a"))
+        write_file(ds, "a", [1])
         sp.note_file("s00", "a")
         sp.refresh("s00")
         high = sp.ddt_core_high_bytes("s00")
         assert high > 0
-        ds.write_file("b", _payload("b"))
+        write_file(ds, "b", [2])
         sp.note_file("s00", "b")
         sp.refresh("s00")
         sp.ensure_quota("s00")  # evicts everything; live core drops
