@@ -15,6 +15,11 @@ The trace pin hashes the Chrome trace of a placement storm under a peer
 crash and a brick failure: the span args (``replica``, ``degraded``,
 ``role``, ``interrupted``) that no result digest covers.
 
+The figure pins hash the canonical result of every figure and table that
+reads the image catalog's spec table (sizes, census, scale-up), all run
+through one shared context at scale 1/2048 so the streams, block views
+and calibrated estimators are built once for the eleven.
+
 The surface pins hash what ``python -m repro <id> --help`` and the sweep
 runner read from the registry for the four storm-shaped experiments:
 title, sweep metrics and every declared parameter.
@@ -28,6 +33,7 @@ import pytest
 
 from repro.common.report import dumps_canonical
 from repro.experiments import registry
+from repro.experiments.context import ExperimentConfig, ExperimentContext
 from repro.workload.timed import METRICS_NODE_DETAIL
 
 #: a crash (plus an overlapping one that is skipped), a flap and a brick
@@ -85,6 +91,22 @@ CASES = {
     ),
 }
 
+#: sha256 of each figure's canonical result at scale 1/2048 (aliases run
+#: their target, so fig15/fig17 repeat fig14/fig16)
+FIGURES = {
+    "tab01": "82836fc73ed8af77d939c7d03a4776a0f3ddc7d204fb6f0930a4981ee5f7593b",
+    "tab02": "21210e25fa6833f2ffc749b8e87f44dde48e5579e7c47d3b3d622215f865de07",
+    "fig08": "6a4c6e6479d386188290da28c0dadf93f67a210d1e1d7fb4a34f9226b01a3483",
+    "fig09": "85fa0ba06e28ffdb21763f1fb967aa5bc7adc7ad8a38b5c8a275a2500ba34c53",
+    "fig10": "3571a1c338af8a8767a5059cd3c870c8ca9a780af8f5002e32dad1bc4f64a37e",
+    "fig13": "04e81dff5e643a7c27ff239ea97187e5160432937c0665a934730c7bc009bd8b",
+    "fig14": "e2bb443460bcbaab12616d47d04c4ea8d5fcfc0a89733d8b9f3380a98e4d19fa",
+    "fig15": "e2bb443460bcbaab12616d47d04c4ea8d5fcfc0a89733d8b9f3380a98e4d19fa",
+    "fig16": "a67f74f915455df5ed9ce536486f213124fcf33ba23227827c736852d39b1b25",
+    "fig17": "a67f74f915455df5ed9ce536486f213124fcf33ba23227827c736852d39b1b25",
+    "fig18": "cb0d71d4d6dc7c9b16ebc345feec34f54b971693aa468862bef1733b1064f4c8",
+}
+
 #: a holder crash while redirects stream from it, plus a brick failure
 #: while cold reads stream from that brick
 TRACE_FAULTS = "crash:compute2@8+30,brick:storage0@3+20"
@@ -131,6 +153,19 @@ class TestResultDigests:
     def test_canonical_result_is_byte_stable(self, case):
         run, expected = CASES[case]
         assert _sha256(dumps_canonical(run().to_dict())) == expected
+
+
+@pytest.fixture(scope="module")
+def figure_context():
+    return ExperimentContext(ExperimentConfig(scale=1 / 2048))
+
+
+class TestFigureDigests:
+    @pytest.mark.parametrize("exp_id", list(FIGURES))
+    def test_canonical_figure_is_byte_stable(self, exp_id, figure_context):
+        exp = registry.get(exp_id)
+        result = exp.run(figure_context, **exp.validate({}))
+        assert _sha256(dumps_canonical(result.to_dict())) == FIGURES[exp_id]
 
 
 class TestTraceDigest:
