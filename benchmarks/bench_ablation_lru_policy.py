@@ -17,6 +17,7 @@ from repro.vmi import block_view
 
 def test_ablation_lru_policy(benchmark, record_result):
     ctx = default_context()
+    catalog = ctx.catalog()
 
     def run():
         # measure Squirrel's actual 64 KB footprint for this dataset
@@ -25,14 +26,14 @@ def test_ablation_lru_policy(benchmark, record_result):
             accountant.add_view(block_view(stream, 65536))
         footprint = accountant.snapshot().disk_used_bytes
         comparison = run_policy_comparison(
-            ctx.dataset,
+            catalog,
             squirrel_footprint_bytes=footprint,
             workload=ZipfBootWorkload(n_boots=3000),
         )
         return footprint, comparison
 
     footprint, comparison = benchmark.pedantic(run, rounds=1)
-    scale_up = ctx.dataset.scaled_up
+    scale_up = catalog.scaled_up
     lines = [
         "Extension: LRU replacement vs scatter hoarding (same disk budget)",
         "-" * 66,

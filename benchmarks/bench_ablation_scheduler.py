@@ -15,16 +15,17 @@ from repro.experiments import default_context
 
 def test_ablation_scheduler(benchmark, record_result):
     ctx = default_context()
+    catalog = ctx.catalog()
 
     def run():
-        events = generate_arrivals(ctx.dataset, n_vms=3000, horizon_ticks=1200)
+        events = generate_arrivals(catalog, n_vms=3000, horizon_ticks=1200)
         return {
-            policy: simulate_policy(ctx.dataset, events, policy)
+            policy: simulate_policy(catalog, events, policy)
             for policy in SCHEDULING_POLICIES
         }
 
     outcomes = benchmark.pedantic(run, rounds=1)
-    scale_up = ctx.dataset.scaled_up
+    scale_up = catalog.scaled_up
     lines = [
         "Extension: scheduling policies on a 16-node cluster (3000 VM arrivals)",
         "-" * 70,

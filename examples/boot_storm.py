@@ -17,7 +17,7 @@ Run:  python examples/boot_storm.py
 
 from repro.common.units import GiB
 from repro.core import IaaSCluster, Squirrel, full_copy_transfer_bytes, run_boot_storm
-from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from repro.workload import StormConfig, boot_storm
 
 BLOCK_SIZE = 65536
@@ -25,13 +25,13 @@ BLOCK_SIZE = 65536
 
 def accounting_sweep() -> None:
     """Figure 18 proper: cumulative compute-node ingress, instantaneous."""
-    dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 512))
+    dataset = LazyImageCatalog(DatasetConfig(scale=1 / 512))
     cluster = IaaSCluster.build(n_compute=64, n_storage=4, block_size=BLOCK_SIZE)
     squirrel = Squirrel(
         cluster=cluster, estimator=make_estimator("gzip6", (BLOCK_SIZE,))
     )
     print("registering 512 images (one per VM slot)...")
-    for spec in dataset.images[:512]:
+    for spec in dataset.specs[:512]:
         squirrel.register(spec)
 
     scale_up = dataset.scaled_up

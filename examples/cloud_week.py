@@ -11,21 +11,21 @@ Run:  python examples/cloud_week.py
 
 from repro.common.units import format_bytes
 from repro.core import IaaSCluster, Squirrel, run_boot_storm
-from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from repro.zfs import scrub
 
 BLOCK = 65536
 
 
 def main() -> None:
-    dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 512))
+    dataset = LazyImageCatalog(DatasetConfig(scale=1 / 512))
     cluster = IaaSCluster.build(n_compute=8, n_storage=4, block_size=BLOCK)
     squirrel = Squirrel(
         cluster=cluster,
         estimator=make_estimator("gzip6", (BLOCK,)),
         gc_window_days=3,
     )
-    images = iter(dataset.images)
+    images = iter(dataset.specs)
     failed_node = cluster.node("compute5")
 
     print(f"{'day':>4} {'event':<34} {'boot traffic':>13} {'scVol disk':>11} "

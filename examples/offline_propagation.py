@@ -12,20 +12,20 @@ Run:  python examples/offline_propagation.py
 
 from repro.common.units import format_bytes
 from repro.core import IaaSCluster, Squirrel
-from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 
 BLOCK_SIZE = 65536
 
 
 def main() -> None:
-    dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 512))
+    dataset = LazyImageCatalog(DatasetConfig(scale=1 / 512))
     cluster = IaaSCluster.build(n_compute=4, n_storage=4, block_size=BLOCK_SIZE)
     squirrel = Squirrel(
         cluster=cluster,
         estimator=make_estimator("gzip6", (BLOCK_SIZE,)),
         gc_window_days=7,
     )
-    images = iter(dataset.images)
+    images = iter(dataset.specs)
 
     print("== day 0-2: normal operation, one registration per day ==")
     for day in range(3):

@@ -12,20 +12,20 @@ Run:  python examples/quickstart.py
 
 from repro.common.units import format_bytes
 from repro.core import IaaSCluster, Squirrel
-from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 
 BLOCK_SIZE = 65536  # the paper's 64 KB sweet spot
 
 
 def main() -> None:
     # a small dataset: the full 607-image Azure mix, scaled down 1/512
-    dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 512))
+    dataset = LazyImageCatalog(DatasetConfig(scale=1 / 512))
     cluster = IaaSCluster.build(n_compute=8, n_storage=4, block_size=BLOCK_SIZE)
     estimator = make_estimator("gzip6", (BLOCK_SIZE,))
     squirrel = Squirrel(cluster=cluster, estimator=estimator)
 
     print("== register ten images ==")
-    for spec in dataset.images[:10]:
+    for spec in dataset.specs[:10]:
         record = squirrel.register(spec)
         print(
             f"image {record.image_id:3d} ({spec.release.family} "
@@ -52,7 +52,7 @@ def main() -> None:
 
     print("\n== a node that missed a registration ==")
     cluster.node("compute5").online = False
-    late = dataset.images[10]
+    late = dataset.specs[10]
     squirrel.register(late)
     cluster.node("compute5").online = True
     cold = squirrel.boot(late.image_id, "compute5")

@@ -17,8 +17,8 @@ from repro.analysis import Series, dataset_metrics, render_series
 from repro.analysis.accounting import PoolAccountant
 from repro.common.units import GiB, MiB, format_bytes
 from repro.vmi import (
-    AzureCommunityDataset,
     DatasetConfig,
+    LazyImageCatalog,
     block_view,
     cache_stream,
     make_estimator,
@@ -29,11 +29,13 @@ BLOCK_SIZES = tuple(1024 << i for i in range(8))  # 1 KB .. 128 KB
 
 def main() -> None:
     denominator = int(sys.argv[1]) if len(sys.argv) > 1 else 128
-    dataset = AzureCommunityDataset(DatasetConfig(scale=1.0 / denominator))
+    dataset = LazyImageCatalog(DatasetConfig(scale=1.0 / denominator))
+    raw_bytes = sum(spec.raw_bytes for spec in dataset.specs)
+    cache_bytes = sum(spec.cache_bytes for spec in dataset.specs)
     print(
         f"dataset: {len(dataset)} images, "
-        f"{format_bytes(dataset.scaled_up(dataset.total_raw_bytes))} raw, "
-        f"{format_bytes(dataset.scaled_up(dataset.total_cache_bytes))} of caches "
+        f"{format_bytes(dataset.scaled_up(raw_bytes))} raw, "
+        f"{format_bytes(dataset.scaled_up(cache_bytes))} of caches "
         f"(scale 1/{denominator})\n"
     )
 

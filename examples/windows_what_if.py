@@ -18,8 +18,8 @@ import numpy as np
 from repro.analysis import PoolAccountant
 from repro.common.units import GiB, MiB
 from repro.vmi import (
-    AzureCommunityDataset,
     DatasetConfig,
+    LazyImageCatalog,
     block_view,
     cache_stream,
     make_estimator,
@@ -40,7 +40,7 @@ def windows_specs(dataset):
         Release("windows", "server-2012", family_share=0.6, share_run_grains=6),
     ]
     rng = np.random.default_rng(99)
-    template = dataset.images[0]
+    template = dataset.specs[0]
     specs = []
     for index in range(N_WINDOWS):
         release = releases[index % 2]
@@ -73,7 +73,7 @@ def footprint(streams, estimator):
 
 
 def main() -> None:
-    dataset = AzureCommunityDataset(DatasetConfig(scale=SCALE))
+    dataset = LazyImageCatalog(DatasetConfig(scale=SCALE))
     estimator = make_estimator("gzip6", (BLOCK,))
     linux_streams = [cache_stream(spec) for spec in dataset]
     windows_streams = [cache_stream(spec) for spec in windows_specs(dataset)]

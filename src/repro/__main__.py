@@ -60,6 +60,7 @@ from pathlib import Path
 from .common.errors import ConfigError, ReproError
 from .common.report import dumps_canonical
 from .experiments import ExperimentConfig, ExperimentContext
+from .experiments.context import scale_of
 from .experiments import registry
 from .experiments.params import ParamSpec, parse_bool
 
@@ -160,6 +161,7 @@ def _run_command(argv: list[str]) -> int:
     union = _union_specs()
     _add_spec_flags(parser, union)
     args = parser.parse_args(argv)
+    scale = scale_of(args.scale)
 
     experiments = registry.all_experiments()
     wanted = list(experiments) if args.experiment == "all" else [args.experiment]
@@ -195,7 +197,7 @@ def _run_command(argv: list[str]) -> int:
                 parser.error(str(error))
 
     ctx = ExperimentContext(
-        ExperimentConfig(scale=1.0 / args.scale, quick=max(1, args.quick))
+        ExperimentConfig(scale=scale, quick=max(1, args.quick))
     )
     from .obs import runtime as obs_runtime
 

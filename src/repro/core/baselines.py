@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.errors import NetworkError
-from ..vmi.dataset import AzureCommunityDataset
+from ..vmi.catalog import LazyImageCatalog
 from .squirrel import Squirrel, cold_read
 
 __all__ = ["BootStormResult", "run_boot_storm", "full_copy_transfer_bytes"]
@@ -37,7 +37,7 @@ class BootStormResult:
 
 def run_boot_storm(
     squirrel: Squirrel,
-    dataset: AzureCommunityDataset,
+    dataset: LazyImageCatalog,
     *,
     n_nodes: int,
     vms_per_node: int,
@@ -72,7 +72,7 @@ def run_boot_storm(
                 outcome = squirrel.boot(image_id, node.name)
                 hits += outcome.cache_hit
             else:
-                cold_read(cluster.storage.gluster, dataset.images[image_id], node.name)
+                cold_read(cluster.storage.gluster, dataset.specs[image_id], node.name)
             boots += 1
     moved = cluster.compute_ingress_bytes(purpose="boot-read") - before
     return BootStormResult(
@@ -86,12 +86,12 @@ def run_boot_storm(
 
 
 def full_copy_transfer_bytes(
-    dataset: AzureCommunityDataset, *, n_nodes: int, vms_per_node: int
+    dataset: LazyImageCatalog, *, n_nodes: int, vms_per_node: int
 ) -> int:
     """The pre-CoW baseline: copy each VM's whole (nonzero) image first."""
     total = 0
     cursor = 0
-    images = dataset.images
+    images = dataset.specs
     for _ in range(n_nodes):
         for _ in range(vms_per_node):
             total += images[cursor % len(images)].nonzero_bytes

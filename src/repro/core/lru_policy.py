@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.rng import stream as rng_stream
-from ..vmi.dataset import AzureCommunityDataset
+from ..vmi.catalog import LazyImageCatalog
 
 __all__ = ["LruCacheNode", "ZipfBootWorkload", "WorkloadReport", "run_policy_comparison"]
 
@@ -111,7 +111,7 @@ class _ComparisonResult:
 
 
 def run_policy_comparison(
-    dataset: AzureCommunityDataset,
+    dataset: LazyImageCatalog,
     *,
     squirrel_footprint_bytes: int,
     workload: ZipfBootWorkload | None = None,

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..common.errors import NetworkError
 from ..common.rng import stream as rng_stream
-from ..vmi.dataset import AzureCommunityDataset
+from ..vmi.catalog import LazyImageCatalog
 from .lru_policy import LruCacheNode
 
 __all__ = [
@@ -57,7 +57,7 @@ class VmEvent:
 
 
 def generate_arrivals(
-    dataset: AzureCommunityDataset,
+    dataset: LazyImageCatalog,
     *,
     n_vms: int = 2000,
     horizon_ticks: int = 1000,
@@ -115,7 +115,7 @@ class PolicyOutcome:
 
 
 def simulate_policy(
-    dataset: AzureCommunityDataset,
+    dataset: LazyImageCatalog,
     events: list[VmEvent],
     policy: str,
     config: SchedulerConfig | None = None,

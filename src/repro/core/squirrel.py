@@ -153,7 +153,7 @@ class Squirrel:
     #: the default — is the paper baseline: every cache on every node,
     #: behaviour byte-identical to pre-placement builds.
     placement: object | None = None
-    #: optional :class:`~repro.vmi.ImageCatalog` sharing memoised cache
+    #: optional :class:`~repro.vmi.LazyImageCatalog` sharing memoised cache
     #: block views across consumers (e.g. both sides of a storm register
     #: the same images). Synthesis is pure, so a memoised view is
     #: bit-identical to one built inline — results never depend on it.

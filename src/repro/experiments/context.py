@@ -1,8 +1,10 @@
-"""Shared experiment context: dataset, streams, estimators, metric memo.
+"""Shared experiment context: catalogs, streams, estimators, metric memo.
 
 Every figure/table experiment pulls from one :class:`ExperimentContext`, so
-a full benchmark run synthesises the dataset once, folds block views once
-per (subject, block size), and calibrates each codec's estimator once.
+a full benchmark run builds each scale's image catalog once, folds block
+views once per (subject, block size), and calibrates each codec's
+estimator once. Experiments read the spec table (``specs``, ``census()``,
+``scaled_up``) from :meth:`ExperimentContext.catalog`.
 
 Environment knobs (read by :func:`default_context`):
 
@@ -13,29 +15,22 @@ Environment knobs (read by :func:`default_context`):
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..analysis import MetricsResult, dataset_metrics
 from ..codecs import SizeEstimator
+from ..common.errors import ConfigError
 from ..common.units import ANALYSIS_BLOCK_SIZES
-from ..vmi import (
-    AzureCommunityDataset,
-    CatalogConfig,
-    DatasetConfig,
-    LazyImageCatalog,
-    make_estimator,
-)
-from ..vmi.catalog import DEFAULT_BUDGET_BYTES
+from ..vmi import DatasetConfig, LazyImageCatalog, Subject, make_estimator
 from ..vmi.streams import BlockView
 
-__all__ = ["ExperimentConfig", "ExperimentContext", "default_context", "Subject"]
-
-Subject = Literal["caches", "images"]
+__all__ = ["ExperimentConfig", "ExperimentContext", "default_context", "scale_of"]
 
 
 @dataclass(frozen=True)
@@ -45,8 +40,6 @@ class ExperimentConfig:
     scale: float = 1.0 / 32.0
     quick: int = 1  #: keep every quick-th image (1 = all 607)
     calibration_samples: int = 4
-    #: byte budget of each scale's catalog memo (streams + block views)
-    catalog_budget_bytes: int = DEFAULT_BUDGET_BYTES
 
 
 class ExperimentContext:
@@ -54,7 +47,7 @@ class ExperimentContext:
 
     Datasets live behind :meth:`catalog`: per scale, one
     :class:`~repro.vmi.LazyImageCatalog` whose grain streams materialise
-    on first access under the config's byte budget. A catalog is a few
+    on first access under the default byte budget. A catalog is a few
     hundred spec records — holding one per scale is cheap; the heavy
     stream memos inside each are budget-bounded.
     """
@@ -75,17 +68,8 @@ class ExperimentContext:
         if scale is None:
             scale = self.config.scale
         if scale not in self._catalogs:
-            self._catalogs[scale] = LazyImageCatalog(
-                CatalogConfig(
-                    dataset=DatasetConfig(scale=scale),
-                    budget_bytes=self.config.catalog_budget_bytes,
-                )
-            )
+            self._catalogs[scale] = LazyImageCatalog(DatasetConfig(scale=scale))
         return self._catalogs[scale]
-
-    @property
-    def dataset(self) -> AzureCommunityDataset:
-        return self.catalog().dataset
 
     @property
     def specs(self):
@@ -131,16 +115,21 @@ class ExperimentContext:
             self._metrics_memo[key] = dataset_metrics(views, estimator)
         return self._metrics_memo[key]
 
-    def drop_streams(self, subject: Subject) -> None:
-        """Release a subject's memoised streams (memory relief)."""
-        self.catalog().drop(subject)
+
+def scale_of(denominator: float) -> float:
+    """The dataset scale of a ``--scale``/``REPRO_SCALE`` denominator."""
+    if not (math.isfinite(denominator) and denominator > 0):
+        raise ConfigError(
+            f"scale denominator must be positive and finite, got {denominator}"
+        )
+    return 1.0 / denominator
 
 
 @lru_cache(maxsize=None)
 def _shared_context(denominator: float, quick: int) -> ExperimentContext:
     """Process-wide context memo, one entry per (scale, quick) pair."""
     return ExperimentContext(
-        ExperimentConfig(scale=1.0 / denominator, quick=max(1, quick))
+        ExperimentConfig(scale=scale_of(denominator), quick=max(1, quick))
     )
 
 

@@ -31,7 +31,7 @@ class Fig09Result(ReportBase):
 def run(ctx: ExperimentContext | None = None) -> Fig09Result:
     """Compute this experiment's data points (see module docstring)."""
     ctx = ctx or default_context()
-    scale_up = ctx.dataset.scaled_up
+    scale_up = ctx.catalog().scaled_up
     images, caches = [], []
     for block_size in ZFS_BLOCK_SIZES:
         images.append(

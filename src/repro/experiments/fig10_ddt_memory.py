@@ -36,7 +36,7 @@ class Fig10Result(ReportBase):
 def run(ctx: ExperimentContext | None = None) -> Fig10Result:
     """Compute this experiment's data points (see module docstring)."""
     ctx = ctx or default_context()
-    scale_up = ctx.dataset.scaled_up
+    scale_up = ctx.catalog().scaled_up
     images, caches = [], []
     for block_size in ZFS_BLOCK_SIZES:
         images.append(

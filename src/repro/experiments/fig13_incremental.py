@@ -44,7 +44,7 @@ class Fig13Result(ReportBase):
 def run(ctx: ExperimentContext | None = None) -> Fig13Result:
     """Compute this experiment's data points (see module docstring)."""
     ctx = ctx or default_context()
-    scale_up = ctx.dataset.scaled_up
+    scale_up = ctx.catalog().scaled_up
     caches = consumption("caches", SQUIRREL_BLOCK_SIZE, ctx)
     images = consumption("images", SQUIRREL_BLOCK_SIZE, ctx)
     return Fig13Result(

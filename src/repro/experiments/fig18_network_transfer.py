@@ -63,22 +63,22 @@ def run(
 ) -> Fig18Result:
     """Compute this experiment's data points (see module docstring)."""
     ctx = ctx or default_context()
-    dataset = ctx.dataset
+    catalog = ctx.catalog()
     estimator: SizeEstimator = ctx.estimator("gzip6", (65536,))
     cluster = IaaSCluster.build(n_compute=max(NODE_COUNTS), n_storage=4,
                                 block_size=65536, link=FABRICS[fabric])
     squirrel = Squirrel(cluster=cluster, estimator=estimator)
     needed = max(NODE_COUNTS) * max(VMS_PER_NODE)
-    for spec in dataset.images[: min(needed, len(dataset.images))]:
+    for spec in catalog.specs[:needed]:
         squirrel.register(spec)
 
-    scale_up = dataset.scaled_up
+    scale_up = catalog.scaled_up
     without: dict[int, tuple[float, ...]] = {}
     for vms in VMS_PER_NODE:
         points = []
         for nodes in NODE_COUNTS:
             storm = run_boot_storm(
-                squirrel, dataset, n_nodes=nodes, vms_per_node=vms,
+                squirrel, catalog, n_nodes=nodes, vms_per_node=vms,
                 with_caches=False,
             )
             points.append(scale_up(storm.compute_ingress_bytes) / GiB)
@@ -88,7 +88,7 @@ def run(
     hits = boots = 0
     for nodes in NODE_COUNTS:
         storm = run_boot_storm(
-            squirrel, dataset, n_nodes=nodes, vms_per_node=max(VMS_PER_NODE),
+            squirrel, catalog, n_nodes=nodes, vms_per_node=max(VMS_PER_NODE),
             with_caches=True,
         )
         with_points.append(scale_up(storm.compute_ingress_bytes) / GiB)

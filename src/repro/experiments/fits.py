@@ -91,7 +91,7 @@ class MetricFits(ReportBase):
 
 def _series_for(metric: str, block_size: int, ctx: ExperimentContext) -> np.ndarray:
     trajectory = consumption("caches", block_size, ctx)
-    scale_up = ctx.dataset.scaled_up
+    scale_up = ctx.catalog().scaled_up
     if metric == "disk":
         return scale_up(trajectory.disk_bytes.astype(np.float64)) / GiB
     return scale_up(trajectory.memory_bytes.astype(np.float64)) / MiB

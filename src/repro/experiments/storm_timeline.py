@@ -389,7 +389,7 @@ class PlacementResult(ReportBase):
     report: StormReport
 
 
-def _full_baseline_tallies(dataset, config: StormConfig, n_images: int) -> dict:
+def _full_baseline_tallies(catalog, config: StormConfig, n_images: int) -> dict:
     """The coordinator-shaped tally block ``policy=full`` implies.
 
     Full replication runs without a coordinator (that is what keeps its
@@ -397,9 +397,7 @@ def _full_baseline_tallies(dataset, config: StormConfig, n_images: int) -> dict:
     are derived analytically: every node holds every cache, seeding ingests
     one cache per node per image, and no boot is ever redirected.
     """
-    cache_total = sum(
-        spec.cache_bytes for spec in dataset.images[:n_images]
-    )
+    cache_total = sum(spec.cache_bytes for spec in catalog.specs[:n_images])
     return {
         "adopted_bytes": 0,
         "adoptions": 0,
@@ -420,12 +418,10 @@ def _full_baseline_tallies(dataset, config: StormConfig, n_images: int) -> dict:
     }
 
 
-def _placement_block(tallies: dict, dataset, config: StormConfig,
+def _placement_block(tallies: dict, catalog, config: StormConfig,
                      n_images: int, report: StormReport) -> dict:
     """The report's ``placement`` block: tallies + derived tradeoff axes."""
-    cache_total = sum(
-        spec.cache_bytes for spec in dataset.images[:n_images]
-    )
+    cache_total = sum(spec.cache_bytes for spec in catalog.specs[:n_images])
     full_hoarded = cache_total * config.n_nodes
     side = report.squirrel
     block = dict(tallies)
@@ -562,7 +558,6 @@ def run_placement(
     )
 
     def drive(catalog) -> PlacementResult:
-        dataset = catalog.dataset  # spec-level facade for the tally helpers
         arrivals = storm_arrivals(config, catalog)
         n_images = arrivals.n_registered
         coordinator = None
@@ -584,13 +579,13 @@ def run_placement(
         tallies = (
             coordinator.stats()
             if coordinator is not None
-            else _full_baseline_tallies(dataset, config, n_images)
+            else _full_baseline_tallies(catalog, config, n_images)
         )
         return PlacementResult(
             config=config,
             spec=spec.to_dict(),
             placement=_placement_block(
-                tallies, dataset, config, n_images, report
+                tallies, catalog, config, n_images, report
             ),
             report=report,
         )

@@ -37,19 +37,14 @@ class Tab01Result(ReportBase):
 def run(ctx: ExperimentContext | None = None) -> Tab01Result:
     """Compute this experiment's data points (see module docstring)."""
     ctx = ctx or default_context()
-    dataset = ctx.dataset
-    quick = ctx.config.quick
+    scale_up = ctx.catalog().scaled_up
     metrics = ctx.metrics("caches", ZFS_DEFAULT_BLOCK_SIZE)
     caches_nonzero = sum(spec.cache_bytes for spec in ctx.specs)
     return Tab01Result(
-        original_bytes=dataset.scaled_up(
-            sum(spec.raw_bytes for spec in ctx.specs)
-        ),
-        nonzero_bytes=dataset.scaled_up(
-            sum(spec.nonzero_bytes for spec in ctx.specs)
-        ),
-        caches_nonzero_bytes=dataset.scaled_up(caches_nonzero),
-        caches_ccr_bytes=dataset.scaled_up(caches_nonzero / metrics.ccr),
+        original_bytes=scale_up(sum(spec.raw_bytes for spec in ctx.specs)),
+        nonzero_bytes=scale_up(sum(spec.nonzero_bytes for spec in ctx.specs)),
+        caches_nonzero_bytes=scale_up(caches_nonzero),
+        caches_ccr_bytes=scale_up(caches_nonzero / metrics.ccr),
         ccr_at_128k=metrics.ccr,
     )
 

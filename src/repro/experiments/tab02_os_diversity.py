@@ -38,7 +38,7 @@ def run(ctx: ExperimentContext | None = None) -> Tab02Result:
     """Compute this experiment's data points (see module docstring)."""
     ctx = ctx or default_context()
     return Tab02Result(
-        azure_measured=ctx.dataset.census(),
+        azure_measured=ctx.catalog().census(),
         azure_expected=dict(AZURE_CENSUS),
         ec2_reference=dict(EC2_CENSUS),
     )

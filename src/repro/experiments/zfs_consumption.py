@@ -18,8 +18,9 @@ import numpy as np
 
 from ..analysis import PoolAccountant
 from ..common.units import ZFS_BLOCK_SIZES
+from ..vmi import Subject
 from ..vmi.streams import block_view
-from .context import ExperimentContext, Subject, default_context
+from .context import ExperimentContext, default_context
 
 __all__ = ["ConsumptionTrajectory", "consumption", "ZFS_BLOCK_SIZES"]
 

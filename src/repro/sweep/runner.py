@@ -39,7 +39,7 @@ import numpy as np
 from ..common.errors import ConfigError
 from ..common.report import ReportBase, dumps_canonical, to_jsonable
 from ..experiments import ExperimentContext, registry
-from ..experiments.context import _shared_context
+from ..experiments.context import _shared_context, scale_of
 from ..obs import runtime as obs_runtime
 from .spec import SweepPoint, SweepSpec
 
@@ -253,6 +253,7 @@ def run_sweep(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if resume and manifest_path is None:
         raise ConfigError("resume needs a manifest path")
+    scale_of(scale)  # a bad denominator fails here, not in a worker
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)

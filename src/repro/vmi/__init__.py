@@ -2,19 +2,15 @@
 
 Images are grain-addressed procedural content (see :mod:`~repro.vmi.content`)
 drawn from release master layouts (:mod:`~repro.vmi.pools`) with per-image
-clustered mutations (:mod:`~repro.vmi.image`). The dataset facade
+clustered mutations (:mod:`~repro.vmi.image`). The spec builder
 (:mod:`~repro.vmi.dataset`) reproduces Table 2's OS mix and the paper's
-dataset totals at a configurable scale.
+dataset totals at a configurable scale; :class:`LazyImageCatalog`
+(:mod:`~repro.vmi.catalog`) holds those specs and synthesizes grain
+streams on first access.
 """
 
 from .calibration import make_estimator
-from .catalog import (
-    DEFAULT_BUDGET_BYTES,
-    CatalogConfig,
-    ImageCatalog,
-    LazyImageCatalog,
-    as_catalog,
-)
+from .catalog import DEFAULT_BUDGET_BYTES, LazyImageCatalog, Subject
 from .content import (
     GRAIN_SIZE,
     N_CLASSES,
@@ -26,7 +22,7 @@ from .content import (
     sample_block,
     tag_with_classes,
 )
-from .dataset import PAPER_TOTALS, AzureCommunityDataset, DatasetConfig
+from .dataset import PAPER_TOTALS, DatasetConfig
 from .distro import AZURE_CENSUS, EC2_CENSUS, OSFamily, Release, default_families
 from .image import ImageSpec, MutationProfile, cache_stream, image_stream
 from .pools import master_grains, package_pool_grains, private_grains
@@ -38,20 +34,17 @@ __all__ = [
     "GRAIN_SIZE",
     "N_CLASSES",
     "PAPER_TOTALS",
-    "AzureCommunityDataset",
     "BlockView",
-    "CatalogConfig",
     "ContentClass",
     "DEFAULT_BUDGET_BYTES",
     "DatasetConfig",
-    "ImageCatalog",
     "ImageSpec",
     "LazyImageCatalog",
     "MutationProfile",
     "OSFamily",
     "PoolKind",
     "Release",
-    "as_catalog",
+    "Subject",
     "block_view",
     "cache_stream",
     "class_of",

@@ -1,6 +1,6 @@
-"""The Azure community-image dataset (607 images, Table 2 mix).
+"""The Azure community-image spec builder (607 images, Table 2 mix).
 
-Builds one :class:`ImageSpec` per community image with sizes drawn from
+:func:`_build_images` builds one :class:`ImageSpec` per community image with sizes drawn from
 realistic distributions and then *normalised* so the dataset totals equal the
 paper's measured inputs scaled by ``DatasetConfig.scale``:
 
@@ -11,23 +11,25 @@ paper's measured inputs scaled by ``DatasetConfig.scale``:
 Those three totals are properties of the paper's *input* dataset, so pinning
 them is calibration of inputs, not of results; everything downstream
 (dedup ratios, CCR, DDT sizes, boot times, similarity) is computed by the
-system under test.
+system under test. :class:`~repro.vmi.catalog.LazyImageCatalog` holds the
+spec list it returns and synthesizes each image's grain stream on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..common.errors import ConfigError
 from ..common.hashing import derive_seed
 from ..common.rng import stream as rng_stream
 from ..common.units import GiB, KiB, MiB, TiB
-from .distro import AZURE_CENSUS, OSFamily, default_families, release_weights
+from .distro import OSFamily, default_families, release_weights
 from .image import ImageSpec, MutationProfile
 
-__all__ = ["DatasetConfig", "AzureCommunityDataset", "PAPER_TOTALS"]
+__all__ = ["DatasetConfig", "PAPER_TOTALS"]
 
 #: The paper's dataset totals (Sections 1, 2.3, Table 1).
 PAPER_TOTALS = {
@@ -60,87 +62,11 @@ class DatasetConfig:
     base_fraction_mean: float = 0.35
     package_fraction_mean: float = 0.22
 
-    def scaled(self, scale: float) -> "DatasetConfig":
-        """Copy with a different scale (same seed: same images, resized)."""
-        return DatasetConfig(
-            scale=scale,
-            seed=self.seed,
-            image_count=self.image_count,
-            boot_mutation_mean=self.boot_mutation_mean,
-            body_mutation_mean=self.body_mutation_mean,
-            region_mean_grains=self.region_mean_grains,
-            region_sigma=self.region_sigma,
-            base_fraction_mean=self.base_fraction_mean,
-            package_fraction_mean=self.package_fraction_mean,
-        )
-
-
-@dataclass
-class AzureCommunityDataset:
-    """The 607-image dataset; iterable over :class:`ImageSpec`."""
-
-    config: DatasetConfig = field(default_factory=DatasetConfig)
-    images: list[ImageSpec] = field(init=False)
-
     def __post_init__(self) -> None:
-        self.images = _build_images(self.config)
-
-    @classmethod
-    def from_images(
-        cls, config: DatasetConfig, images: list[ImageSpec]
-    ) -> "AzureCommunityDataset":
-        """Wrap an already-built spec list (no re-synthesis) — the bridge
-        from :class:`~repro.vmi.catalog.LazyImageCatalog` back to eager
-        call sites. The list is shared, not copied."""
-        dataset = object.__new__(cls)
-        dataset.config = config
-        dataset.images = images
-        return dataset
-
-    def __iter__(self) -> Iterator[ImageSpec]:
-        return iter(self.images)
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-    # -- dataset-level properties ---------------------------------------------
-
-    @property
-    def total_raw_bytes(self) -> int:
-        return sum(spec.raw_bytes for spec in self.images)
-
-    @property
-    def total_nonzero_bytes(self) -> int:
-        return sum(spec.nonzero_bytes for spec in self.images)
-
-    @property
-    def total_cache_bytes(self) -> int:
-        return sum(spec.cache_bytes for spec in self.images)
-
-    def scaled_up(self, value: float) -> float:
-        """Undo the dataset scale for paper-comparable reporting."""
-        return value / self.config.scale
-
-    def census(self) -> dict[str, int]:
-        """Images per Table 2 OS row (must reproduce AZURE_CENSUS)."""
-        counts = dict.fromkeys(AZURE_CENSUS, 0)
-        for spec in self.images:
-            counts[_census_name_of(spec)] += 1
-        return counts
-
-    def images_of_release(self, family: str, release: str) -> list[ImageSpec]:
-        return [
-            spec
-            for spec in self.images
-            if spec.release.family == family and spec.release.name == release
-        ]
-
-
-def _census_name_of(spec: ImageSpec) -> str:
-    for fam in default_families():
-        if fam.name == spec.release.family:
-            return fam.census_name
-    raise LookupError(f"unknown family {spec.release.family}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigError(
+                f"dataset scale must be positive and finite, got {self.scale}"
+            )
 
 
 def _allocate_counts(families: tuple[OSFamily, ...], total: int) -> list[int]:

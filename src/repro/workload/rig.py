@@ -1,4 +1,9 @@
-"""The shared rig: one scenario's cluster, engine and telemetry, wired."""
+"""The shared rig: one scenario's cluster, engine and telemetry, wired.
+
+The rig reads its images from a :class:`~repro.vmi.LazyImageCatalog`
+(``rig.catalog.specs``); a caller that already owns one passes it as
+``dataset=`` so both sides of a storm share one stream memo.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +14,7 @@ from ..metrics import MetricsRegistry, Sampler, TimeSeriesStore, metrics_block
 from ..net import LinkProfile
 from ..obs import runtime as obs_runtime
 from ..sim import Engine, Timeline
-from ..vmi import (
-    AzureCommunityDataset,
-    DatasetConfig,
-    ImageCatalog,
-    LazyImageCatalog,
-    as_catalog,
-    make_estimator,
-)
+from ..vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from .timed import TimedSquirrel
 
 #: ring capacity of the per-run time-series store (samples per series)
@@ -27,7 +25,7 @@ METRICS_RING = 4096
 class _Rig:
     """One scenario's fully-wired simulation: cluster, engine, telemetry."""
 
-    catalog: ImageCatalog
+    catalog: LazyImageCatalog
     squirrel: Squirrel
     engine: Engine
     timeline: Timeline
@@ -35,11 +33,6 @@ class _Rig:
     metrics: MetricsRegistry
     store: TimeSeriesStore
     sampler: Sampler
-
-    @property
-    def dataset(self) -> AzureCommunityDataset:
-        """Eager-dataset facade over the catalog's (shared) spec list."""
-        return self.catalog.dataset
 
     def metrics_block(self) -> dict:
         """The canonical metrics block for this run (embed in the report)."""
@@ -61,11 +54,11 @@ def _build_rig(
     seed,
     trace: bool,
     metrics_interval_s: float = 5.0,
-    dataset: AzureCommunityDataset | ImageCatalog | None = None,
+    dataset: LazyImageCatalog | None = None,
     placement_factory=None,
     sharding_factory=None,
 ) -> _Rig:
-    catalog = as_catalog(dataset) or LazyImageCatalog(DatasetConfig(scale=scale))
+    catalog = dataset or LazyImageCatalog(DatasetConfig(scale=scale))
     cluster = IaaSCluster.build(
         n_compute=n_compute, n_storage=n_storage, block_size=block_size, link=link
     )

@@ -34,13 +34,7 @@ from ..obs import (
 )
 from ..obs import runtime as obs_runtime
 from ..sim import HistogramStats
-from ..vmi import (
-    AzureCommunityDataset,
-    DatasetConfig,
-    ImageCatalog,
-    LazyImageCatalog,
-    as_catalog,
-)
+from ..vmi import DatasetConfig, LazyImageCatalog
 from ..placement import PlacementContext
 from .arrivals import DAY_S, diurnal_arrivals, flash_crowd_arrivals, poisson_arrivals
 from .rig import _build_rig
@@ -161,20 +155,16 @@ class StormArrivals:
     n_registered: int
 
 
-def storm_arrivals(
-    config: StormConfig, dataset: AzureCommunityDataset | ImageCatalog
-) -> StormArrivals:
+def storm_arrivals(config: StormConfig, catalog: LazyImageCatalog) -> StormArrivals:
     """The storm's tenants over the first ``n_vms`` catalog images and
-    the arrival trace they draw.
-
-    ``dataset`` may be an eager dataset or a catalog (only its length is
-    needed, so no streams materialise)."""
+    the arrival trace they draw (only the catalog's length is read, so no
+    streams materialise)."""
     n_vms = config.n_nodes * config.vms_per_node
     rng = rng_stream("workload-storm", config.seed)
     times = flash_crowd_arrivals(rng, n_vms=n_vms, ramp_s=config.ramp_s)
     population = TenantPopulation(
         config.n_tenants,
-        min(n_vms, len(dataset)),
+        min(n_vms, len(catalog)),
         seed=derive_seed("workload-storm-tenants", config.seed),
         zipf_exponent=config.zipf_exponent,
     )
@@ -187,11 +177,9 @@ def storm_arrivals(
     return StormArrivals(population, plan, n_registered)
 
 
-def storm_image_count(
-    config: StormConfig, dataset: AzureCommunityDataset | ImageCatalog
-) -> int:
+def storm_image_count(config: StormConfig, catalog: LazyImageCatalog) -> int:
     """Images the storm registers (both sides register the same specs)."""
-    return storm_arrivals(config, dataset).n_registered
+    return storm_arrivals(config, catalog).n_registered
 
 
 def placement_context(
@@ -214,7 +202,7 @@ def _run_storm_side(
     config: StormConfig,
     *,
     with_caches: bool,
-    catalog: ImageCatalog,
+    catalog: LazyImageCatalog,
     arrivals: StormArrivals,
     placement_factory=None,
     sharding_factory=None,
@@ -294,16 +282,16 @@ def _run_storm_side(
 def boot_storm(
     config: StormConfig = StormConfig(),
     *,
-    dataset: AzureCommunityDataset | ImageCatalog | None = None,
+    dataset: LazyImageCatalog | None = None,
     trace_path=None,
     placement_factory=None,
     sharding_factory=None,
 ) -> StormReport:
     """Run the same flash crowd with Squirrel and without caches.
 
-    ``dataset`` lets a caller that already owns one (the experiment
-    registry's shared context) avoid rebuilding the full image dataset per
-    run; it must match ``config.scale``.
+    ``dataset`` lets a caller that already owns a catalog (the experiment
+    registry's shared context) avoid rebuilding the spec table and streams
+    per run; it must match ``config.scale``.
     With a ``trace_path``, both sides' spans are exported there as one
     Chrome trace-event JSON file (processes ``squirrel``/``baseline``).
 
@@ -318,9 +306,7 @@ def boot_storm(
         raise ConfigError("storm needs at least one node and one VM")
     # one catalog for both sides: they register the same specs, so the
     # Squirrel side's cache views come out of the shared memo for free
-    catalog = as_catalog(dataset) or LazyImageCatalog(
-        DatasetConfig(scale=config.scale)
-    )
+    catalog = dataset or LazyImageCatalog(DatasetConfig(scale=config.scale))
     arrivals = storm_arrivals(config, catalog)
     sides = {}
     tracers = {}
@@ -422,13 +408,13 @@ def steady_state_day(
         trace=config.trace,
         metrics_interval_s=config.metrics_interval_s,
     )
-    dataset, squirrel, engine, timeline, timed = (
-        rig.dataset, rig.squirrel, rig.engine, rig.timeline, rig.timed,
+    catalog, squirrel, engine, timeline, timed = (
+        rig.catalog, rig.squirrel, rig.engine, rig.timeline, rig.timed,
     )
     catalogue = config.n_initial_images + config.n_new_registrations
-    if catalogue > len(dataset.images):
+    if catalogue > len(catalog):
         raise ConfigError("catalogue larger than the dataset")
-    for spec in dataset.images[: config.n_initial_images]:
+    for spec in catalog.specs[: config.n_initial_images]:
         squirrel.register(spec)  # overnight backlog: instant setup
     ingress_before = squirrel.cluster.compute_ingress_bytes(purpose="boot-read")
     if config.faults is not None:
@@ -462,7 +448,7 @@ def steady_state_day(
     register_times = poisson_arrivals(
         rng, rate_per_s=config.n_new_registrations / DAY_S, horizon_s=DAY_S
     )
-    new_specs = dataset.images[config.n_initial_images : catalogue]
+    new_specs = catalog.specs[config.n_initial_images : catalogue]
 
     def registration(at, spec):
         yield engine.timeout(at)
@@ -581,8 +567,8 @@ def register_churn(
         trace=config.trace,
         metrics_interval_s=config.metrics_interval_s,
     )
-    dataset, squirrel, engine, timeline, timed = (
-        rig.dataset, rig.squirrel, rig.engine, rig.timeline, rig.timed,
+    catalog, squirrel, engine, timeline, timed = (
+        rig.catalog, rig.squirrel, rig.engine, rig.timeline, rig.timed,
     )
     squirrel.gc_window_days = config.gc_window_days
     horizon_s = config.horizon_days * DAY_S
@@ -593,18 +579,18 @@ def register_churn(
     register_times = poisson_arrivals(
         rng, rate_per_s=config.registrations_per_day / DAY_S, horizon_s=horizon_s
     )
-    if len(register_times) > len(dataset.images):
+    if len(register_times) > len(catalog):
         # each arrival registers a new image: never drop arrivals silently
         raise ConfigError(
             f"churn draws {len(register_times)} registrations but the "
-            f"catalog holds only {len(dataset.images)} images"
+            f"catalog holds only {len(catalog)} images"
         )
 
     def registration(at, spec):
         yield engine.timeout(at)
         yield timed.register(spec)
 
-    for at, spec in zip(register_times, dataset.images):
+    for at, spec in zip(register_times, catalog.specs):
         engine.process(registration(float(at), spec))
 
     def downtime(node: ComputeNode, start, duration):

@@ -57,7 +57,7 @@ from ..metrics import MetricsRegistry
 from ..obs import BootAttribution, SpanTracer
 from ..placement import TRANSPORT_NAMES
 from ..sim import Engine, Event, Interrupted, Pipe, Resource, Timeline
-from ..vmi import AzureCommunityDataset, ImageCatalog, as_catalog
+from ..vmi import LazyImageCatalog
 from ..zfs import AdaptiveReplacementCache, ArcStats
 from .arrivals import DAY_S
 
@@ -515,15 +515,14 @@ class TimedSquirrel:
     def __init__(
         self,
         squirrel: Squirrel,
-        dataset: AzureCommunityDataset | ImageCatalog,
+        catalog: LazyImageCatalog,
         engine: Engine,
         timeline: Timeline,
         *,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.squirrel = squirrel
-        #: eager datasets are adapted (specs shared, nothing recomputed)
-        self.catalog = as_catalog(dataset)
+        self.catalog = catalog
         self.engine = engine
         self.timeline = timeline
         self.tracer = SpanTracer(engine)

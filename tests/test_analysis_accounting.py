@@ -5,8 +5,8 @@ import pytest
 
 from repro.analysis import PoolAccountant
 from repro.vmi import (
-    AzureCommunityDataset,
     DatasetConfig,
+    LazyImageCatalog,
     block_view,
     cache_stream,
     make_estimator,
@@ -21,8 +21,8 @@ def estimator():
 
 @pytest.fixture(scope="module")
 def views(estimator):
-    dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
-    return [block_view(cache_stream(spec), 65536) for spec in dataset.images[:40]]
+    dataset = LazyImageCatalog(DatasetConfig(scale=1 / 2048))
+    return [block_view(cache_stream(spec), 65536) for spec in dataset.specs[:40]]
 
 
 class TestEquivalenceWithObjectPipeline:

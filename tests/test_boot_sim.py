@@ -6,8 +6,8 @@ import pytest
 from repro.boot import BootSimulator, ZfsCostModel
 from repro.common.errors import BootError
 from repro.vmi import (
-    AzureCommunityDataset,
     DatasetConfig,
+    LazyImageCatalog,
     block_view,
     cache_stream,
     make_estimator,
@@ -19,12 +19,12 @@ SCALE = 1 / 512
 
 @pytest.fixture(scope="module")
 def dataset():
-    return AzureCommunityDataset(DatasetConfig(scale=SCALE))
+    return LazyImageCatalog(DatasetConfig(scale=SCALE))
 
 
 @pytest.fixture(scope="module")
 def sample(dataset):
-    return dataset.images[::101][:5]
+    return dataset.specs[::101][:5]
 
 
 def build_cvolume(dataset, block_size):

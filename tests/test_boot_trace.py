@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.boot.trace import OpKind, TraceConfig, generate_boot_trace
-from repro.vmi import AzureCommunityDataset, DatasetConfig
+from repro.vmi import DatasetConfig, LazyImageCatalog
 
 
 @pytest.fixture(scope="module")
 def specs():
-    return AzureCommunityDataset(DatasetConfig(scale=1 / 1024)).images[:20]
+    return LazyImageCatalog(DatasetConfig(scale=1 / 1024)).specs[:20]
 
 
 class TestTraceShape:

@@ -44,6 +44,21 @@ class TestCli:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "experiment, denominator", [("storm", "0"), ("fig18", "-5"), ("tab02", "nan")]
+    )
+    def test_bad_scale_is_one_line(self, experiment, denominator, capsys):
+        """A scale denominator that is not positive and finite exits 2 with
+        one line before anything runs (0 used to raise ZeroDivisionError,
+        a negative one to print a table of negative image sizes)."""
+        assert main([experiment, "--scale", denominator]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: scale denominator must be positive and finite, "
+            f"got {float(denominator)}\n"
+        )
+        assert captured.out == ""
+
     def test_any_repro_error_during_run_is_one_line(self, capsys, monkeypatch):
         """Storage, network and simulation errors reach the CLI the same
         way a ConfigError does."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import LruCacheNode, ZipfBootWorkload, run_policy_comparison
-from repro.vmi import AzureCommunityDataset, DatasetConfig
+from repro.vmi import DatasetConfig, LazyImageCatalog
 
 
 class TestLruCacheNode:
@@ -62,30 +62,34 @@ class TestWorkload:
 class TestComparison:
     @pytest.fixture(scope="class")
     def dataset(self):
-        return AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+        return LazyImageCatalog(DatasetConfig(scale=1 / 2048))
 
-    def test_squirrel_always_hits(self, dataset):
+    @pytest.fixture(scope="class")
+    def cache_total(self, dataset):
+        return sum(spec.cache_bytes for spec in dataset.specs)
+
+    def test_squirrel_always_hits(self, dataset, cache_total):
         result = run_policy_comparison(
-            dataset, squirrel_footprint_bytes=dataset.total_cache_bytes // 8
+            dataset, squirrel_footprint_bytes=cache_total // 8
         )
         assert result.squirrel.hit_rate == 1.0
         assert result.squirrel.miss_network_bytes == 0
 
-    def test_lru_misses_on_the_tail(self, dataset):
+    def test_lru_misses_on_the_tail(self, dataset, cache_total):
         """With Squirrel's (small) footprint as raw LRU budget, the long
         tail of a multi-tenant workload keeps missing — the motivation for
         scatter hoarding."""
         result = run_policy_comparison(
-            dataset, squirrel_footprint_bytes=dataset.total_cache_bytes // 8
+            dataset, squirrel_footprint_bytes=cache_total // 8
         )
         assert result.lru.hit_rate < 1.0
         assert result.lru.miss_network_bytes > 0
 
-    def test_bigger_budget_fewer_misses(self, dataset):
+    def test_bigger_budget_fewer_misses(self, dataset, cache_total):
         small = run_policy_comparison(
-            dataset, squirrel_footprint_bytes=dataset.total_cache_bytes // 16
+            dataset, squirrel_footprint_bytes=cache_total // 16
         )
         large = run_policy_comparison(
-            dataset, squirrel_footprint_bytes=dataset.total_cache_bytes // 2
+            dataset, squirrel_footprint_bytes=cache_total // 2
         )
         assert large.lru.hit_rate > small.lru.hit_rate

@@ -11,7 +11,7 @@ import pytest
 from repro.core import IaaSCluster, Squirrel
 from repro.core.cluster import CCVOLUME
 from repro.core.replica import Replica, ReplicaStore, apply_to_nodes
-from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from repro.zfs import ZPool
 
 
@@ -130,11 +130,11 @@ class TestClusterIntegration:
         cluster = IaaSCluster.build(n_compute=12, n_storage=4)
         estimator = make_estimator("gzip6", (65536,), samples_per_point=2)
         squirrel = Squirrel(cluster=cluster, estimator=estimator)
-        dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 4096))
-        for spec in dataset.images[:5]:
+        dataset = LazyImageCatalog(DatasetConfig(scale=1 / 4096))
+        for spec in dataset.specs[:5]:
             squirrel.register(spec)
         assert cluster.replicas.distinct_replicas == 1
-        cache = squirrel.cache_file_of(dataset.images[0].image_id)
+        cache = squirrel.cache_file_of(dataset.specs[0].image_id)
         assert all(
             node.ccvolume.has_file(cache) for node in cluster.compute
         )
@@ -143,15 +143,15 @@ class TestClusterIntegration:
         cluster = IaaSCluster.build(n_compute=6, n_storage=4)
         estimator = make_estimator("gzip6", (65536,), samples_per_point=2)
         squirrel = Squirrel(cluster=cluster, estimator=estimator)
-        dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 4096))
-        squirrel.register(dataset.images[0])
+        dataset = LazyImageCatalog(DatasetConfig(scale=1 / 4096))
+        squirrel.register(dataset.specs[0])
         straggler = cluster.compute[2]
         straggler.online = False
-        squirrel.register(dataset.images[1])
+        squirrel.register(dataset.specs[1])
         assert cluster.replicas.distinct_replicas == 2
         straggler.online = True
         squirrel.resync_node(straggler.name)
-        cache = squirrel.cache_file_of(dataset.images[1].image_id)
+        cache = squirrel.cache_file_of(dataset.specs[1].image_id)
         assert straggler.ccvolume.has_file(cache)
         # replaying the same receive chain repoints back onto the mainline
         assert cluster.replicas.distinct_replicas == 1

@@ -9,12 +9,12 @@ from repro.core import (
     generate_arrivals,
     simulate_policy,
 )
-from repro.vmi import AzureCommunityDataset, DatasetConfig
+from repro.vmi import DatasetConfig, LazyImageCatalog
 
 
 @pytest.fixture(scope="module")
 def dataset():
-    return AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+    return LazyImageCatalog(DatasetConfig(scale=1 / 2048))
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ import pytest
 from repro.common.errors import ConfigError, RegistrationError
 from repro.core import IaaSCluster, Squirrel, run_boot_storm
 from repro.shard import ShardPlan, ShardRouter, shard_name
-from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from repro.zfs import generate_send
 
 SCALE = 1 / 1024
@@ -26,7 +26,7 @@ SHARDS3 = tuple(shard_name(i) for i in range(3))
 
 @pytest.fixture(scope="module")
 def dataset():
-    return AzureCommunityDataset(DatasetConfig(scale=SCALE))
+    return LazyImageCatalog(DatasetConfig(scale=SCALE))
 
 
 def make_squirrel(layout: str) -> Squirrel:
@@ -81,7 +81,7 @@ def forget_sync(squirrel, node) -> None:
 class TestRegister:
     def test_register_propagates_to_all_online_nodes(self, rig):
         squirrel, dataset = rig
-        spec = dataset.images[0]
+        spec = dataset.specs[0]
         record = squirrel.register(spec)
         assert record.receivers == 6
         cache = squirrel.cache_file_of(spec.image_id)
@@ -90,16 +90,16 @@ class TestRegister:
 
     def test_register_creates_snapshot_chain(self, rig):
         squirrel, dataset = rig
-        for spec in dataset.images[:3]:
+        for spec in dataset.specs[:3]:
             squirrel.register(spec)
         snaps = scvol_of(squirrel, 0).snapshots()
         assert [s.name for s in snaps] == ["v00001", "v00002", "v00003"]
 
     def test_duplicate_registration_rejected(self, rig):
         squirrel, dataset = rig
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         with pytest.raises(RegistrationError):
-            squirrel.register(dataset.images[0])
+            squirrel.register(dataset.specs[0])
 
     def test_diff_smaller_than_cache(self, rig):
         """The cVolume diff is O(10 MB) for an O(100 MB) cache (Section 5.3):
@@ -107,7 +107,7 @@ class TestRegister:
         squirrel, dataset = rig
         # register several images of the same release: later diffs dedup hard
         ubuntu = [
-            s for s in dataset.images
+            s for s in dataset.specs
             if s.release.family == "ubuntu" and s.release.name == "13.10"
         ][:4]
         records = [squirrel.register(spec) for spec in ubuntu]
@@ -120,14 +120,14 @@ class TestRegister:
         """Section 3.2: the whole workflow is not in the boot critical path
         and the diff multicast takes a couple of seconds at most."""
         squirrel, dataset = rig
-        record = squirrel.register(dataset.images[0])
+        record = squirrel.register(dataset.specs[0])
         assert record.propagation_seconds < 2.0
 
 
 class TestBoot:
     def test_warm_boot_moves_zero_bytes(self, rig):
         squirrel, dataset = rig
-        spec = dataset.images[0]
+        spec = dataset.specs[0]
         squirrel.register(spec)
         before = squirrel.cluster.compute_ingress_bytes(purpose="boot-read")
         outcome = squirrel.boot(spec.image_id, "compute0")
@@ -142,7 +142,7 @@ class TestBoot:
 
     def test_cold_boot_reads_boot_set_over_network(self, rig):
         squirrel, dataset = rig
-        spec = dataset.images[0]
+        spec = dataset.specs[0]
         squirrel.cluster.node("compute3").online = False
         squirrel.register(spec)
         squirrel.cluster.node("compute3").online = True
@@ -154,7 +154,7 @@ class TestBoot:
 class TestDeregisterAndGC:
     def test_deregister_removes_cache(self, rig):
         squirrel, dataset = rig
-        spec = dataset.images[0]
+        spec = dataset.specs[0]
         squirrel.register(spec)
         squirrel.deregister(spec.image_id)
         assert not scvol_of(squirrel, spec.image_id).has_file(
@@ -165,7 +165,7 @@ class TestDeregisterAndGC:
         """Section 3.4: no snapshot on delete; the unlink rides the next
         registration's diff."""
         squirrel, dataset = rig
-        first, second = dataset.images[0], dataset.images[1]
+        first, second = dataset.specs[0], dataset.specs[1]
         squirrel.register(first)
         squirrel.deregister(first.image_id)
         node = squirrel.cluster.compute[0]
@@ -177,7 +177,7 @@ class TestDeregisterAndGC:
 
     def test_gc_keeps_window_and_latest(self, rig):
         squirrel, dataset = rig
-        for day, spec in enumerate(dataset.images[:5]):
+        for day, spec in enumerate(dataset.specs[:5]):
             squirrel.register(spec)
             squirrel.advance_time(3)
         victims = squirrel.collect_garbage()  # clock=15, window=7 => cutoff=8
@@ -190,11 +190,11 @@ class TestDeregisterAndGC:
 
     def test_gc_frees_space_of_dead_caches(self, rig):
         squirrel, dataset = rig
-        spec = dataset.images[0]
+        spec = dataset.specs[0]
         squirrel.register(spec)
         squirrel.deregister(spec.image_id)
         squirrel.advance_time(30)
-        squirrel.register(dataset.images[1])  # snapshot carrying the unlink
+        squirrel.register(dataset.specs[1])  # snapshot carrying the unlink
         pool = squirrel.cluster.storage.pool
         used_before_gc = pool.data_bytes
         squirrel.collect_garbage()
@@ -204,29 +204,29 @@ class TestDeregisterAndGC:
 class TestOfflinePropagation:
     def test_incremental_resync_within_window(self, rig):
         squirrel, dataset = rig
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         node = squirrel.cluster.node("compute2")
         node.online = False
-        squirrel.register(dataset.images[1])
-        squirrel.register(dataset.images[2])
+        squirrel.register(dataset.specs[1])
+        squirrel.register(dataset.specs[2])
         moved = squirrel.resync_node("compute2")
         assert moved > 0
-        for spec in dataset.images[:3]:
+        for spec in dataset.specs[:3]:
             cc = cc_of(squirrel, node, spec.image_id)
             assert cc.has_file(squirrel.cache_file_of(spec.image_id))
 
     def test_resync_is_noop_when_in_sync(self, rig):
         squirrel, dataset = rig
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         assert squirrel.resync_node("compute1") == 0
 
     def test_full_replication_after_window_expires(self, rig):
         squirrel, dataset = rig
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         node = squirrel.cluster.node("compute2")
         node.online = False
         squirrel.advance_time(30)  # node misses a whole month
-        squirrel.register(dataset.images[1])
+        squirrel.register(dataset.specs[1])
         squirrel.collect_garbage()  # v00001 falls out of the window
         moved = squirrel.resync_node("compute2")
         assert moved > 0
@@ -239,10 +239,10 @@ class TestOfflinePropagation:
         node = squirrel.cluster.node("compute5")
         node.online = False
         forget_sync(squirrel, node)
-        for spec in dataset.images[:3]:
+        for spec in dataset.specs[:3]:
             squirrel.register(spec)
         squirrel.resync_node("compute5")
-        for spec in dataset.images[:3]:
+        for spec in dataset.specs[:3]:
             cc = cc_of(squirrel, node, spec.image_id)
             assert cc.has_file(squirrel.cache_file_of(spec.image_id))
 
@@ -255,11 +255,11 @@ class TestOfflineCatchupReplay:
 
     def test_two_missed_rounds_replayed_in_order(self, rig):
         squirrel, dataset = rig
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         node = squirrel.cluster.node("compute3")
         node.online = False
-        squirrel.register(dataset.images[1])  # v00002 — missed
-        squirrel.register(dataset.images[2])  # v00003 — missed
+        squirrel.register(dataset.specs[1])  # v00002 — missed
+        squirrel.register(dataset.specs[2])  # v00003 — missed
         moved = squirrel.resync_node("compute3")
         assert moved > 0
         scvol_names = [s.name for s in scvol_of(squirrel, 0).snapshots()]
@@ -273,17 +273,17 @@ class TestOfflineCatchupReplay:
             cc_of(squirrel, peer, 0).file_names()
         )
         # and the next multicast diff applies cleanly to the caught-up node
-        squirrel.register(dataset.images[3])
+        squirrel.register(dataset.specs[3])
         assert cc_of(squirrel, node, 3).has_file(squirrel.cache_file_of(3))
 
     def test_stale_online_node_is_skipped_not_corrupted(self, rig):
         squirrel, dataset = rig
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         node = squirrel.cluster.node("compute2")
         node.online = False
-        squirrel.register(dataset.images[1])
+        squirrel.register(dataset.specs[1])
         node.online = True  # re-onlined without resync: stale synced_snapshot
-        record = squirrel.register(dataset.images[2])
+        record = squirrel.register(dataset.specs[2])
         assert record.receivers == 5  # the stale node is skipped, not crashed
         assert not cc_of(squirrel, node, 2).has_file(squirrel.cache_file_of(2))
         squirrel.resync_node("compute2")
@@ -335,7 +335,7 @@ class TestThreeShards:
         return [snap.name for snap in dataset.snapshots()]
 
     def test_each_shard_keeps_its_own_chain(self, squirrel, dataset):
-        for spec in dataset.images[12:18]:
+        for spec in dataset.specs[12:18]:
             squirrel.register(spec)
         for image_id in (12, 13, 14):
             assert self.chain(scvol_of(squirrel, image_id)) == [
@@ -345,11 +345,11 @@ class TestThreeShards:
                 assert synced(squirrel, node, image_id) == "v00002"
 
     def test_resync_replays_every_shard_chain(self, squirrel, dataset):
-        for spec in dataset.images[12:15]:
+        for spec in dataset.specs[12:15]:
             squirrel.register(spec)
         node = squirrel.cluster.node("compute4")
         node.online = False
-        missed = [squirrel.register(spec) for spec in dataset.images[15:19]]
+        missed = [squirrel.register(spec) for spec in dataset.specs[15:19]]
         moved = squirrel.resync_node("compute4")
         # the replayed incrementals are exactly the multicasts it missed
         assert moved == sum(record.diff_bytes for record in missed)
@@ -366,13 +366,13 @@ class TestThreeShards:
             assert sorted(cc_of(squirrel, node, image_id).file_names()) == (
                 sorted(cc_of(squirrel, peer, image_id).file_names())
             )
-        record = squirrel.register(dataset.images[19])
+        record = squirrel.register(dataset.specs[19])
         assert record.receivers == 6
 
     def test_gc_collects_each_chain_and_qualifies_victims(
         self, squirrel, dataset
     ):
-        for spec in dataset.images[12:18]:
+        for spec in dataset.specs[12:18]:
             squirrel.register(spec)
             squirrel.advance_time(3)
         # clock 18, cutoff 11: every shard's v00001 (days 0/3/6) expires,
@@ -387,12 +387,12 @@ class TestThreeShards:
                 ]
 
     def test_expired_shard_is_rereplicated_alone(self, squirrel, dataset):
-        for spec in dataset.images[12:15]:
+        for spec in dataset.specs[12:15]:
             squirrel.register(spec)
         node = squirrel.cluster.node("compute2")
         node.online = False
         squirrel.advance_time(30)
-        squirrel.register(dataset.images[15])  # s00 -> v00002
+        squirrel.register(dataset.specs[15])  # s00 -> v00002
         assert squirrel.collect_garbage() == ["s00@v00001"]
         moved = squirrel.resync_node("compute2")
         full = generate_send(
@@ -412,20 +412,20 @@ class TestThreeShards:
     def test_unlink_rides_its_own_shards_next_snapshot(
         self, squirrel, dataset
     ):
-        squirrel.register(dataset.images[12])  # s00
+        squirrel.register(dataset.specs[12])  # s00
         squirrel.deregister(12)
         node = squirrel.cluster.compute[0]
         cache = squirrel.cache_file_of(12)
-        squirrel.register(dataset.images[13])  # s01's diff: not s00's unlink
+        squirrel.register(dataset.specs[13])  # s01's diff: not s00's unlink
         assert cc_of(squirrel, node, 12).has_file(cache)
-        squirrel.register(dataset.images[15])  # s00's next snapshot
+        squirrel.register(dataset.specs[15])  # s00's next snapshot
         assert not cc_of(squirrel, node, 12).has_file(cache)
 
 
 class TestBootStorm:
     def test_squirrel_eliminates_boot_traffic(self, rig):
         squirrel, dataset = rig
-        for spec in dataset.images[:12]:
+        for spec in dataset.specs[:12]:
             squirrel.register(spec)
         result = run_boot_storm(
             squirrel, dataset, n_nodes=4, vms_per_node=3, with_caches=True
@@ -435,7 +435,7 @@ class TestBootStorm:
 
     def test_baseline_traffic_grows_with_vms(self, rig):
         squirrel, dataset = rig
-        for spec in dataset.images[:12]:
+        for spec in dataset.specs[:12]:
             squirrel.register(spec)
         one = run_boot_storm(
             squirrel, dataset, n_nodes=4, vms_per_node=1, with_caches=False
@@ -451,7 +451,7 @@ class TestRegistrationWorkflowTime:
         """Section 3.2: the registration workflow takes no more than a
         minute (boot once + snapshot + multicast the diff)."""
         squirrel, dataset = rig
-        record = squirrel.register(dataset.images[0])
+        record = squirrel.register(dataset.specs[0])
         assert record.workflow_seconds < 60.0
 
 
@@ -476,21 +476,21 @@ class TestCatalogViews:
         """A failure inside the catalog's memoised view is not swallowed
         by an inline rebuild."""
         squirrel, dataset = rig
-        squirrel.catalog = _StubCatalog(dataset.images[0])
+        squirrel.catalog = _StubCatalog(dataset.specs[0])
         with pytest.raises(RuntimeError, match="memoised view failed"):
-            squirrel.register(dataset.images[0])
+            squirrel.register(dataset.specs[0])
 
     def test_unknown_id_builds_inline(self, rig):
         squirrel, dataset = rig
         squirrel.catalog = _StubCatalog()
-        record = squirrel.register(dataset.images[0])
-        assert record.cache_bytes == dataset.images[0].cache_bytes
+        record = squirrel.register(dataset.specs[0])
+        assert record.cache_bytes == dataset.specs[0].cache_bytes
 
 
 class TestPoolDescribe:
     def test_zfs_list_style_report(self, rig):
         squirrel, dataset = rig
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         report = squirrel.cluster.storage.pool.describe()
         assert "scvol" in report
         assert "dedup" in report

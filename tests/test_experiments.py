@@ -32,7 +32,7 @@ def ctx():
 
 class TestContext:
     def test_specs_respect_quick(self, ctx):
-        assert len(ctx.specs) == len(ctx.dataset.images[::4])
+        assert len(ctx.specs) == len(ctx.catalog().specs[::4])
 
     def test_streams_cached(self, ctx):
         first = ctx.streams("caches")
@@ -43,17 +43,6 @@ class TestContext:
         first = ctx.metrics("caches", 4096)
         second = ctx.metrics("caches", 4096)
         assert first is second
-
-    def test_drop_streams(self, ctx):
-        ctx.streams("caches")
-        catalog = ctx.catalog()
-        assert catalog.resident_bytes > 0
-        ctx.drop_streams("caches")
-        assert not any(key[0] == "caches" for key in catalog._memo)  # noqa: SLF001
-
-    def test_catalog_dataset_shares_specs(self, ctx):
-        dataset = ctx.catalog(ctx.config.scale).dataset
-        assert dataset.images is ctx.catalog().specs
 
     def test_views_not_retained(self, ctx):
         views = ctx.views("caches", 8192)

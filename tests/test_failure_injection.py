@@ -9,7 +9,7 @@ import pytest
 
 from repro.common.errors import PoolFullError, RegistrationError
 from repro.core import IaaSCluster, Squirrel
-from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from repro.zfs import ZPool, scrub
 
 BLOCK = 65536
@@ -17,7 +17,7 @@ BLOCK = 65536
 
 @pytest.fixture(scope="module")
 def dataset():
-    return AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+    return LazyImageCatalog(DatasetConfig(scale=1 / 2048))
 
 
 def make_squirrel(n_compute=4, **kwargs):
@@ -63,7 +63,7 @@ class TestNodeChurn:
         squirrel = make_squirrel()
         for node in squirrel.cluster.compute:
             node.online = False
-        record = squirrel.register(dataset.images[0])
+        record = squirrel.register(dataset.specs[0])
         assert record.receivers == 0
         # nothing propagated, but the scVolume is authoritative
         assert squirrel.cluster.storage.scvolume.has_file(
@@ -74,7 +74,7 @@ class TestNodeChurn:
         squirrel = make_squirrel()
         for node in squirrel.cluster.compute:
             node.online = False
-        for spec in dataset.images[:5]:
+        for spec in dataset.specs[:5]:
             squirrel.register(spec)
         for node in squirrel.cluster.compute:
             squirrel.resync_node(node.name)
@@ -85,7 +85,7 @@ class TestNodeChurn:
     def test_repeated_crash_recover_cycles_with_gc(self, dataset):
         """A flapping node across many GC windows always converges."""
         squirrel = make_squirrel(n_compute=2)
-        images = iter(dataset.images)
+        images = iter(dataset.specs)
         node = squirrel.cluster.node("compute1")
         for cycle in range(4):
             node.online = False
@@ -111,7 +111,7 @@ class TestNodeChurn:
 class TestAbusivePatterns:
     def test_deregister_twice_rejected(self, dataset):
         squirrel = make_squirrel()
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         squirrel.deregister(0)
         with pytest.raises(RegistrationError):
             squirrel.deregister(0)
@@ -119,10 +119,10 @@ class TestAbusivePatterns:
     def test_register_deregister_register_same_content(self, dataset):
         """Re-registering after deregistration works and re-deduplicates."""
         squirrel = make_squirrel()
-        spec = dataset.images[0]
+        spec = dataset.specs[0]
         squirrel.register(spec)
         squirrel.deregister(spec.image_id)
-        squirrel.register(dataset.images[1])  # propagate the unlink
+        squirrel.register(dataset.specs[1])  # propagate the unlink
         record = squirrel.register(
             type(spec)(**{**spec.__dict__, "image_id": 999})
         )
@@ -140,7 +140,7 @@ class TestAbusivePatterns:
 
     def test_boot_on_offline_node_falls_back_to_network(self, dataset):
         squirrel = make_squirrel()
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         squirrel.cluster.node("compute2").online = False
         outcome = squirrel.boot(0, "compute2")
         # an offline node's local cache is unusable: cold path accounting
@@ -152,7 +152,7 @@ class TestScrubAfterChaos:
     """After any churn sequence, every pool in the cluster scrubs clean."""
 
     def test_all_pools_clean_after_churn(self, dataset):
-        self._churn_then_scrub(make_squirrel(n_compute=3), dataset.images)
+        self._churn_then_scrub(make_squirrel(n_compute=3), dataset.specs)
 
     def test_all_pools_clean_after_two_shard_churn(self, dataset):
         """Each shard is its own dedup domain: images 2 and 10 share cache
@@ -163,7 +163,7 @@ class TestScrubAfterChaos:
         squirrel = make_squirrel(n_compute=3)
         plan = ShardPlan("tenant", ("s00", "s01"), {2: "s00", 10: "s01"})
         squirrel.shard_cvolume(plan)
-        order = [dataset.images[i] for i in (4, 5, 6, 10, 1, 2)]
+        order = [dataset.specs[i] for i in (4, 5, 6, 10, 1, 2)]
         self._churn_then_scrub(squirrel, order)
         assert {2, 10} <= set(squirrel.registered_ids())
         for pool in [squirrel.cluster.storage.pool] + [

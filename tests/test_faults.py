@@ -10,7 +10,7 @@ from repro.core import IaaSCluster, Squirrel
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.net import GlusterVolume, Node, NodeKind, TransferLedger
 from repro.sim import Engine, Interrupted, Pipe, Resource, Timeline
-from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from repro.workload import (
     DayConfig,
     StormConfig,
@@ -310,7 +310,7 @@ class TestDegradedReads:
 
 @pytest.fixture(scope="module")
 def dataset():
-    return AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+    return LazyImageCatalog(DatasetConfig(scale=1 / 2048))
 
 
 def make_rig(dataset, n_compute=4, seed=0):
@@ -347,11 +347,11 @@ class TestInjectorValidation:
 class TestRejoinCatchUp:
     def test_registrations_during_downtime_replay_on_rejoin(self, dataset):
         squirrel, engine, timeline, timed = make_rig(dataset)
-        squirrel.register(dataset.images[0])  # synced baseline for everyone
+        squirrel.register(dataset.specs[0])  # synced baseline for everyone
         FaultInjector(timed, FaultPlan.parse("crash:compute1@10+40")).start()
 
         def late_registrations():
-            for offset, spec in enumerate(dataset.images[1:3]):
+            for offset, spec in enumerate(dataset.specs[1:3]):
                 yield engine.timeout(12.0 + offset)  # while compute1 is dark
                 yield timed.register(spec)
 
@@ -361,13 +361,13 @@ class TestRejoinCatchUp:
         assert timeline.counter("incremental_resyncs") == 1
         # catch-up replayed the missed snapshots: the rejoined node now
         # serves both late registrations straight from its local cache
-        for spec in dataset.images[1:3]:
+        for spec in dataset.specs[1:3]:
             outcome = squirrel.boot(spec.image_id, "compute1")
             assert outcome.cache_hit
 
     def test_boot_on_crashed_node_waits_for_rejoin(self, dataset):
         squirrel, engine, timeline, timed = make_rig(dataset)
-        spec = dataset.images[0]
+        spec = dataset.specs[0]
         squirrel.register(spec)
         FaultInjector(timed, FaultPlan.parse("crash:compute1@1+30")).start()
 

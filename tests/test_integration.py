@@ -11,8 +11,8 @@ import pytest
 
 from repro.core import IaaSCluster, Squirrel, run_boot_storm
 from repro.vmi import (
-    AzureCommunityDataset,
     DatasetConfig,
+    LazyImageCatalog,
     block_view,
     cache_stream,
     make_estimator,
@@ -23,12 +23,12 @@ BLOCK = 65536
 
 @pytest.fixture(scope="module")
 def world():
-    dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+    dataset = LazyImageCatalog(DatasetConfig(scale=1 / 2048))
     cluster = IaaSCluster.build(n_compute=5, n_storage=4, block_size=BLOCK)
     squirrel = Squirrel(
         cluster=cluster, estimator=make_estimator("gzip6", (BLOCK,), samples_per_point=2)
     )
-    for spec in dataset.images[:30]:
+    for spec in dataset.specs[:30]:
         squirrel.register(spec)
     return dataset, cluster, squirrel
 
@@ -55,7 +55,7 @@ class TestReplicaConsistency:
     def test_ccvolume_matches_generated_cache_content(self, world):
         """What landed on a node is exactly the image's boot working set."""
         dataset, cluster, squirrel = world
-        spec = dataset.images[3]
+        spec = dataset.specs[3]
         view = block_view(cache_stream(spec), BLOCK)
         node = cluster.compute[2]
         stored = node.ccvolume.file(squirrel.cache_file_of(spec.image_id))
@@ -75,7 +75,7 @@ class TestStorageEfficiencyEndToEnd:
     def test_dedup_pays_off_across_caches(self, world):
         dataset, cluster, squirrel = world
         node = cluster.compute[0]
-        raw = sum(dataset.images[i].cache_bytes for i in squirrel.registered_ids())
+        raw = sum(dataset.specs[i].cache_bytes for i in squirrel.registered_ids())
         assert node.pool.disk_used_bytes < raw / 2  # CCR >> 2 at 64 KB
 
     def test_scvolume_and_ccvolume_dedup_ratio_similar(self, world):
@@ -90,34 +90,34 @@ class TestLifecycle:
     def test_full_lifecycle_accounting(self):
         """Register → boot → deregister → GC drives the scVolume's *data*
         back down; snapshot metadata is bounded by the GC window."""
-        dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+        dataset = LazyImageCatalog(DatasetConfig(scale=1 / 2048))
         cluster = IaaSCluster.build(n_compute=2, n_storage=4, block_size=BLOCK)
         squirrel = Squirrel(
             cluster=cluster,
             estimator=make_estimator("gzip6", (BLOCK,), samples_per_point=2),
             gc_window_days=3,
         )
-        for spec in dataset.images[:10]:
+        for spec in dataset.specs[:10]:
             squirrel.register(spec)
             squirrel.advance_time(1)
         peak = cluster.storage.pool.data_bytes
         for image_id in squirrel.registered_ids():
             squirrel.deregister(image_id)
-        squirrel.register(dataset.images[10])  # carries the unlinks
+        squirrel.register(dataset.specs[10])  # carries the unlinks
         squirrel.advance_time(10)
-        squirrel.register(dataset.images[11])
+        squirrel.register(dataset.specs[11])
         squirrel.advance_time(1)
         squirrel.collect_garbage()
         assert cluster.storage.pool.data_bytes < peak / 2
 
     def test_boot_storm_after_churn(self):
-        dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+        dataset = LazyImageCatalog(DatasetConfig(scale=1 / 2048))
         cluster = IaaSCluster.build(n_compute=4, n_storage=4, block_size=BLOCK)
         squirrel = Squirrel(
             cluster=cluster,
             estimator=make_estimator("gzip6", (BLOCK,), samples_per_point=2),
         )
-        for spec in dataset.images[:20]:
+        for spec in dataset.specs[:20]:
             squirrel.register(spec)
         for image_id in (0, 5, 7):
             squirrel.deregister(image_id)
@@ -128,17 +128,17 @@ class TestLifecycle:
         assert storm.cache_hits == storm.boots
 
     def test_node_down_through_churn_catches_up(self):
-        dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+        dataset = LazyImageCatalog(DatasetConfig(scale=1 / 2048))
         cluster = IaaSCluster.build(n_compute=3, n_storage=4, block_size=BLOCK)
         squirrel = Squirrel(
             cluster=cluster,
             estimator=make_estimator("gzip6", (BLOCK,), samples_per_point=2),
         )
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         cluster.node("compute1").online = False
-        squirrel.register(dataset.images[1])
+        squirrel.register(dataset.specs[1])
         squirrel.deregister(0)
-        squirrel.register(dataset.images[2])
+        squirrel.register(dataset.specs[2])
         squirrel.resync_node("compute1")
         node = cluster.node("compute1")
         assert not node.ccvolume.has_file(squirrel.cache_file_of(0))
@@ -159,8 +159,8 @@ class TestBytesModeDeployment:
     def test_real_bytes_round_trip_through_replication(self):
         from repro.zfs import ZPool, generate_send, receive
 
-        dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 8192))
-        view = block_view(cache_stream(dataset.images[0]), 4096)
+        dataset = LazyImageCatalog(DatasetConfig(scale=1 / 8192))
+        view = block_view(cache_stream(dataset.specs[0]), 4096)
         psizes = view.psizes(make_estimator("gzip6", (4096,), samples_per_point=2))
         rows = list(
             zip(

@@ -140,9 +140,9 @@ class TestServedAccounting:
         """Registration multicasts leave the primary brick but are not brick
         reads: read load equals the served tallies, cold boots included."""
         from repro.core import IaaSCluster, Squirrel
-        from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+        from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 
-        dataset = AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+        dataset = LazyImageCatalog(DatasetConfig(scale=1 / 2048))
         cluster = IaaSCluster.build(n_compute=4, n_storage=4, block_size=65536)
         squirrel = Squirrel(
             cluster=cluster,
@@ -150,10 +150,10 @@ class TestServedAccounting:
         )
         late = cluster.node("compute3")
         late.online = False
-        for spec in dataset.images[:4]:
+        for spec in dataset.specs[:4]:
             squirrel.register(spec)
         late.online = True
-        squirrel.boot(dataset.images[0].image_id, "compute3")  # cold: no cache
+        squirrel.boot(dataset.specs[0].image_id, "compute3")  # cold: no cache
         gluster = cluster.storage.gluster
         load = gluster.storage_read_load()
         assert load == {name: gluster.served_bytes(name) for name in load}

@@ -27,7 +27,7 @@ from repro.obs import (
     dump_chrome_trace,
 )
 from repro.sim import Engine, Timeline
-from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from repro.workload import StormConfig, TimedSquirrel, boot_storm
 
 BLOCK = 65536
@@ -191,7 +191,7 @@ class TestBootAttribution:
 
 @pytest.fixture(scope="module")
 def dataset():
-    return AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+    return LazyImageCatalog(DatasetConfig(scale=1 / 2048))
 
 
 def make_rig(dataset, n_compute=4, seed=0):
@@ -210,7 +210,7 @@ def run_boots(dataset, *, faults=None, force_cold=False, repeats=3):
     returns the rig after the run (the first boot populates the node's ARC,
     the second hits T1, the third hits T2)."""
     squirrel, engine, timeline, timed = make_rig(dataset)
-    for spec in dataset.images[:4]:
+    for spec in dataset.specs[:4]:
         squirrel.register(spec)
     if faults is not None:
         FaultInjector(timed, FaultPlan.parse(faults)).start()
@@ -220,7 +220,7 @@ def run_boots(dataset, *, faults=None, force_cold=False, repeats=3):
         yield timed.boot(image_id, node_name, force_cold=force_cold)
 
     for repeat in range(repeats):
-        for i, spec in enumerate(dataset.images[:4]):
+        for i, spec in enumerate(dataset.specs[:4]):
             engine.process(
                 vm(2.0 * repeat + 0.3 * i, spec.image_id, f"compute{i % 4}")
             )
@@ -323,7 +323,7 @@ def faulted_storm_config(**overrides):
 
 @pytest.fixture(scope="module")
 def storm_dataset():
-    return AzureCommunityDataset(DatasetConfig(scale=1 / 4096))
+    return LazyImageCatalog(DatasetConfig(scale=1 / 4096))
 
 
 class TestStormTraces:

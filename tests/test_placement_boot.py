@@ -20,7 +20,7 @@ from repro.placement import (
     zipf_weights,
 )
 from repro.shard import ShardRouter, build_plan
-from repro.vmi import AzureCommunityDataset, DatasetConfig, make_estimator
+from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 
 SCALE = 1 / 1024
 BLOCK = 65536
@@ -30,7 +30,7 @@ N_IMAGES = 4
 
 @pytest.fixture(scope="module")
 def dataset():
-    return AzureCommunityDataset(DatasetConfig(scale=SCALE))
+    return LazyImageCatalog(DatasetConfig(scale=SCALE))
 
 
 def make_rig(dataset, spec=None):
@@ -51,7 +51,7 @@ def make_rig(dataset, spec=None):
 class TestSeeding:
     def test_register_installs_on_holders_only(self, dataset):
         squirrel = make_rig(dataset)
-        spec = dataset.images[1]  # image 1 is tail: 2 scattered replicas
+        spec = dataset.specs[1]  # image 1 is tail: 2 scattered replicas
         squirrel.register(spec)
         coord = squirrel.placement
         holders = set(coord.directory.holders(spec.image_id))
@@ -62,7 +62,7 @@ class TestSeeding:
 
     def test_seed_traffic_has_its_own_purpose(self, dataset):
         squirrel = make_rig(dataset)
-        squirrel.register(dataset.images[0])
+        squirrel.register(dataset.specs[0])
         ledger = squirrel.cluster.ledger
         assert ledger.total_bytes(purpose=SEED_PURPOSE) > 0
         assert (
@@ -71,7 +71,7 @@ class TestSeeding:
 
     def test_hot_image_is_fleet_wide(self, dataset):
         squirrel = make_rig(dataset)
-        spec = dataset.images[0]  # top_k=1: image 0 is the hot set
+        spec = dataset.specs[0]  # top_k=1: image 0 is the hot set
         squirrel.register(spec)
         assert len(squirrel.placement.directory.holders(spec.image_id)) == (
             N_COMPUTE
@@ -79,7 +79,7 @@ class TestSeeding:
 
     def test_deregister_removes_from_holders(self, dataset):
         squirrel = make_rig(dataset)
-        spec = dataset.images[1]
+        spec = dataset.specs[1]
         squirrel.register(spec)
         cache = squirrel.cache_file_of(spec.image_id)
         squirrel.deregister(spec.image_id)
@@ -91,7 +91,7 @@ class TestSeeding:
 class TestPeerRedirect:
     def test_miss_on_non_holder_redirects_to_peer(self, dataset):
         squirrel = make_rig(dataset)
-        spec = dataset.images[1]
+        spec = dataset.specs[1]
         squirrel.register(spec)
         coord = squirrel.placement
         holders = set(coord.directory.holders(spec.image_id))
@@ -122,7 +122,7 @@ class TestPeerRedirect:
 
     def test_boot_on_holder_is_local_hit(self, dataset):
         squirrel = make_rig(dataset)
-        spec = dataset.images[1]
+        spec = dataset.specs[1]
         squirrel.register(spec)
         holder = squirrel.placement.directory.holders(spec.image_id)[0]
         outcome = squirrel.boot(spec.image_id, holder)
@@ -131,7 +131,7 @@ class TestPeerRedirect:
 
     def test_all_holders_down_falls_back_to_origin(self, dataset):
         squirrel = make_rig(dataset)
-        spec = dataset.images[1]
+        spec = dataset.specs[1]
         squirrel.register(spec)
         coord = squirrel.placement
         holders = set(coord.directory.holders(spec.image_id))
@@ -151,7 +151,7 @@ class TestPeerRedirect:
 
     def test_dead_holder_fails_over_to_survivor(self, dataset):
         squirrel = make_rig(dataset)
-        spec = dataset.images[1]
+        spec = dataset.specs[1]
         squirrel.register(spec)
         coord = squirrel.placement
         holders = coord.directory.holders(spec.image_id)
@@ -170,7 +170,7 @@ class TestPeerRedirect:
 class TestAdoption:
     def test_budget_zero_never_adopts(self, dataset):
         squirrel = make_rig(dataset)
-        spec = dataset.images[1]
+        spec = dataset.specs[1]
         squirrel.register(spec)
         holders = set(squirrel.placement.directory.holders(spec.image_id))
         reader = next(
@@ -188,7 +188,7 @@ class TestAdoption:
             adopt_budget_bytes=1 << 30,
         )
         squirrel = make_rig(dataset, placement_spec)
-        spec = dataset.images[1]
+        spec = dataset.specs[1]
         squirrel.register(spec)
         coord = squirrel.placement
         holders = set(coord.directory.holders(spec.image_id))
@@ -206,7 +206,7 @@ class TestAdoption:
         assert second.cache_hit and second.source == "cache"
 
     def test_budget_exhaustion_stops_adoption(self, dataset):
-        spec0, spec1 = dataset.images[1], dataset.images[2]
+        spec0, spec1 = dataset.specs[1], dataset.specs[2]
         budget = spec0.cache_bytes + spec1.cache_bytes // 2
         placement_spec = PlacementSpec(
             policy="top_k", top_k=0, replica_floor=2,
@@ -230,7 +230,7 @@ class TestAdoption:
 class TestReseed:
     def test_rejoining_holder_pulls_assigned_caches(self, dataset):
         squirrel = make_rig(dataset)
-        spec = dataset.images[0]  # hot: every node is a holder
+        spec = dataset.specs[0]  # hot: every node is a holder
         offline = squirrel.cluster.compute[3]
         offline.online = False
         squirrel.register(spec)
@@ -249,7 +249,7 @@ class TestReseed:
 
     def test_reseed_skips_non_holders(self, dataset):
         squirrel = make_rig(dataset)
-        spec = dataset.images[1]  # tail: 2 replicas
+        spec = dataset.specs[1]  # tail: 2 replicas
         squirrel.register(spec)
         holders = set(squirrel.placement.directory.holders(spec.image_id))
         outsider = next(
@@ -266,6 +266,6 @@ class TestReseed:
 class TestShardingGuard:
     def test_sharding_and_placement_cannot_combine(self, dataset):
         squirrel = make_rig(dataset)
-        plan = build_plan(dataset.images[:N_IMAGES], 2, "similarity")
+        plan = build_plan(dataset.specs[:N_IMAGES], 2, "similarity")
         with pytest.raises(ConfigError, match="cannot be combined"):
             ShardRouter(plan).install(squirrel)

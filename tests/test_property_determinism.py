@@ -72,15 +72,17 @@ class TestStormDeterminism:
 
 class TestLazyCatalogEquivalence:
     """The lazy catalog must be invisible in results: a storm, a placement
-    run, and a figure experiment fed an eager dataset, a lazy catalog, or
-    the default (internally lazy) path serialise byte-identically."""
+    run, and a figure experiment fed a catalog that re-synthesises on every
+    access, a catalog with the default budget, or the default path
+    serialise byte-identically."""
 
     def test_storm_lazy_equals_eager_equals_default(self):
         from repro.common.report import dumps_canonical
-        from repro.vmi import AzureCommunityDataset, DatasetConfig, LazyImageCatalog
+        from repro.vmi import DatasetConfig, LazyImageCatalog
 
         config = StormConfig(seed=5, **SMALL_STORM)
-        eager = AzureCommunityDataset(DatasetConfig(scale=config.scale))
+        # a one-byte budget evicts every stream and view after its use
+        eager = LazyImageCatalog(DatasetConfig(scale=config.scale), budget_bytes=1)
         lazy = LazyImageCatalog(DatasetConfig(scale=config.scale))
         reports = [
             boot_storm(config, dataset=eager),
@@ -110,8 +112,8 @@ class TestLazyCatalogEquivalence:
         from repro.analysis import dataset_metrics
         from repro.experiments import ExperimentConfig, ExperimentContext
         from repro.vmi import (
-            AzureCommunityDataset,
             DatasetConfig,
+            LazyImageCatalog,
             block_view,
             cache_stream,
         )
@@ -120,10 +122,10 @@ class TestLazyCatalogEquivalence:
         ctx = ExperimentContext(ExperimentConfig(scale=scale, quick=4,
                                                  calibration_samples=2))
         lazy = ctx.metrics("caches", 65536)
-        eager = AzureCommunityDataset(DatasetConfig(scale=scale))
+        eager = LazyImageCatalog(DatasetConfig(scale=scale))
         views = [
             block_view(cache_stream(spec), 65536)
-            for spec in eager.images[::4]
+            for spec in eager.specs[::4]
         ]
         inline = dataset_metrics(views, ctx.estimator("gzip6", (65536,)))
         assert lazy == inline

@@ -13,14 +13,14 @@ from repro.shard import (
     shard_name,
     weight,
 )
-from repro.vmi import AzureCommunityDataset, DatasetConfig
+from repro.vmi import DatasetConfig, LazyImageCatalog
 
 TINY = 1 / 2048
 
 
 @pytest.fixture(scope="module")
 def all_specs():
-    return list(AzureCommunityDataset(DatasetConfig(scale=TINY)))
+    return list(LazyImageCatalog(DatasetConfig(scale=TINY)))
 
 
 @pytest.fixture(scope="module")

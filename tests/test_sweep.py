@@ -129,6 +129,40 @@ class TestDefaultContextEnv:
         assert second is not first
         assert second.config.scale == 1 / 4096
 
+    @pytest.mark.parametrize("denominator", ["0", "-32", "inf"])
+    def test_bad_env_scale_is_config_error(self, monkeypatch, denominator):
+        from repro.experiments.context import default_context
+
+        monkeypatch.setenv("REPRO_SCALE", denominator)
+        with pytest.raises(ConfigError, match="scale denominator"):
+            default_context()
+
+
+class TestSweepBadScale:
+    """A bad denominator fails the sweep up front with exit 2, whether it
+    comes from ``--scale`` or from ``REPRO_SCALE`` (the flag's default)."""
+
+    def _assert_usage_error(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: scale denominator must be positive and finite" in err
+        assert "Traceback" not in err
+
+    def test_flag(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        self._assert_usage_error(
+            ["sweep", "churn", "--grid", "seed=0", "--scale", "0"], capsys
+        )
+
+    def test_env(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_SCALE", "0")
+        self._assert_usage_error(["sweep", "churn", "--grid", "seed=0"], capsys)
+
 
 class TestGridParsing:
     def test_values_and_ranges(self):

@@ -38,7 +38,7 @@ from repro.obs.analyze import (
 )
 from repro.obs.flame import folded_stacks
 from repro.sim import Engine
-from repro.vmi import AzureCommunityDataset, DatasetConfig
+from repro.vmi import DatasetConfig, LazyImageCatalog
 from repro.workload import StormConfig, boot_storm
 
 
@@ -157,7 +157,7 @@ def faulted_storm_config(**overrides):
 
 @pytest.fixture(scope="module")
 def storm_dataset():
-    return AzureCommunityDataset(DatasetConfig(scale=1 / 4096))
+    return LazyImageCatalog(DatasetConfig(scale=1 / 4096))
 
 
 @pytest.fixture(scope="module")

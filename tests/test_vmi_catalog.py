@@ -1,29 +1,24 @@
-"""Tests for the lazy image catalog: protocol, budget, byte-identity.
+"""Tests for the image catalog: consumer surface, budget, byte-identity.
 
 The contract that keeps every pinned experiment honest: synthesis is a
-pure function of the spec, so a lazy catalog — including one that evicted
+pure function of the spec, so the catalog — including one that evicted
 and re-synthesised an entry — yields streams and views bit-identical to
-the eager dataset path.
+inline synthesis from the spec.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.vmi import (
-    AzureCommunityDataset,
-    CatalogConfig,
     DatasetConfig,
-    ImageCatalog,
     LazyImageCatalog,
-    as_catalog,
     block_view,
     cache_stream,
     image_stream,
 )
 from repro.vmi.content import PoolKind
+from repro.vmi.dataset import _build_images
 
 TINY = DatasetConfig(scale=1 / 4096)
 
@@ -33,19 +28,14 @@ def catalog():
     return LazyImageCatalog(TINY)
 
 
-@pytest.fixture(scope="module")
-def eager():
-    return AzureCommunityDataset(TINY)
-
-
 class TestProtocol:
-    def test_lazy_catalog_satisfies_protocol(self, catalog):
-        assert isinstance(catalog, ImageCatalog)
+    """What consumers read: specs, spec lookup, the budget keyword."""
 
-    def test_specs_match_eager_dataset(self, catalog, eager):
-        assert len(catalog) == len(eager)
-        for lazy_spec, eager_spec in zip(catalog.specs, eager.images):
-            assert lazy_spec == eager_spec
+    def test_specs_match_build_images(self, catalog):
+        built = _build_images(TINY)
+        assert len(catalog) == len(built)
+        for lazy_spec, built_spec in zip(catalog.specs, built):
+            assert lazy_spec == built_spec
 
     def test_spec_lookup(self, catalog):
         spec = catalog.spec(3)
@@ -53,27 +43,9 @@ class TestProtocol:
         with pytest.raises(ConfigError):
             catalog.spec(10_000)
 
-    def test_dataset_facade_shares_specs(self, catalog):
-        assert catalog.dataset.images is catalog.specs
-        assert catalog.dataset.scaled_up(1.0) == catalog.scaled_up(1.0)
-
-    def test_as_catalog(self, catalog, eager):
-        assert as_catalog(None) is None
-        assert as_catalog(catalog) is catalog
-        adapted = as_catalog(eager)
-        assert adapted.specs is eager.images  # shared, not recomputed
-        with pytest.raises(ConfigError):
-            as_catalog(42)
-
-    def test_config_picklable(self):
-        config = CatalogConfig(dataset=TINY, budget_bytes=1 << 20)
-        clone = pickle.loads(pickle.dumps(config))
-        assert clone == config
-        assert LazyImageCatalog(clone).spec(0) == LazyImageCatalog(config).spec(0)
-
     def test_budget_must_be_positive(self):
         with pytest.raises(ConfigError):
-            CatalogConfig(budget_bytes=0)
+            LazyImageCatalog(TINY, budget_bytes=0)
 
 
 class TestByteIdentity:
@@ -100,7 +72,7 @@ class TestByteIdentity:
         assert catalog.block_view(9, 8192) is catalog.block_view(9, 8192)
 
     def test_eviction_resynthesises_bit_identical(self):
-        tight = LazyImageCatalog(CatalogConfig(dataset=TINY, budget_bytes=1))
+        tight = LazyImageCatalog(TINY, budget_bytes=1)
         first = tight.grain_stream(0).copy()
         tight.grain_stream(1)  # evicts image 0 (budget of 1 byte)
         assert ("caches", 0) not in tight._memo
@@ -110,7 +82,7 @@ class TestByteIdentity:
 class TestBudget:
     def test_resident_bounded_by_budget(self):
         budget = 64 << 10
-        tight = LazyImageCatalog(CatalogConfig(dataset=TINY, budget_bytes=budget))
+        tight = LazyImageCatalog(TINY, budget_bytes=budget)
         for spec in tight.specs[:50]:
             tight.grain_stream(spec.image_id)
             tight.block_view(spec.image_id, 4096)
@@ -120,19 +92,9 @@ class TestBudget:
         assert tight.peak_resident_bytes >= tight.resident_bytes
 
     def test_never_evicts_sole_entry(self):
-        tight = LazyImageCatalog(CatalogConfig(dataset=TINY, budget_bytes=1))
+        tight = LazyImageCatalog(TINY, budget_bytes=1)
         stream = tight.grain_stream(0)
         assert tight.grain_stream(0) is stream  # still memoised
-
-    def test_drop_by_subject(self, catalog):
-        catalog.grain_stream(2, "caches")
-        catalog.grain_stream(2, "images")
-        catalog.drop("caches")
-        assert not any(k[0] == "caches" for k in catalog._memo)
-        assert any(k[0] == "images" for k in catalog._memo)
-        catalog.drop()
-        assert not catalog._memo
-        assert catalog.resident_bytes == 0
 
 
 class TestReleaseMasters:
@@ -177,15 +139,15 @@ class TestReleaseMasters:
         assert stream.flags.writeable and not window.flags.writeable
         assert not np.shares_memory(stream, window)
 
-    def test_windows_count_in_resident_bytes_and_drop_releases_them(self):
+    def test_windows_count_in_resident_bytes_and_get_evicted(self):
         fresh = LazyImageCatalog(TINY)
         stream = fresh.grain_stream(0, "images")
         windows = [key for key in fresh._memo if key[0] == "masters"]
         assert len(windows) == 2
         window_bytes = sum(fresh._memo[key].nbytes for key in windows)
         assert fresh.resident_bytes == stream.nbytes + window_bytes
-        fresh.drop("caches")
-        assert fresh.resident_bytes == stream.nbytes
-        fresh.drop()
-        assert not fresh._memo
-        assert fresh.resident_bytes == 0
+        # a budget that fits only the stream evicts both (older) windows
+        tight = LazyImageCatalog(TINY, budget_bytes=stream.nbytes)
+        assert tight.grain_stream(0, "images").tobytes() == stream.tobytes()
+        assert list(tight._memo) == [("images", 0)]
+        assert tight.resident_bytes == stream.nbytes

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.common.units import GiB
 from repro.vmi import (
     AZURE_CENSUS,
     PAPER_TOTALS,
-    AzureCommunityDataset,
     DatasetConfig,
+    LazyImageCatalog,
     block_view,
     cache_stream,
 )
@@ -19,7 +20,7 @@ SMALL = 1 / 512
 
 @pytest.fixture(scope="module")
 def tiny():
-    return AzureCommunityDataset(DatasetConfig(scale=TINY))
+    return LazyImageCatalog(DatasetConfig(scale=TINY))
 
 
 class TestCensus:
@@ -38,18 +39,18 @@ class TestCensus:
 
 class TestTotals:
     def test_totals_match_paper_at_scale(self, tiny):
-        assert tiny.total_raw_bytes == pytest.approx(
+        assert sum(spec.raw_bytes for spec in tiny.specs) == pytest.approx(
             PAPER_TOTALS["raw_bytes"] * TINY, rel=0.02
         )
-        assert tiny.total_nonzero_bytes == pytest.approx(
+        assert sum(spec.nonzero_bytes for spec in tiny.specs) == pytest.approx(
             PAPER_TOTALS["nonzero_bytes"] * TINY, rel=0.02
         )
-        assert tiny.total_cache_bytes == pytest.approx(
+        assert sum(spec.cache_bytes for spec in tiny.specs) == pytest.approx(
             PAPER_TOTALS["cache_bytes"] * TINY, rel=0.02
         )
 
     def test_scaled_up_reporting(self, tiny):
-        scaled = tiny.scaled_up(tiny.total_cache_bytes)
+        scaled = tiny.scaled_up(sum(spec.cache_bytes for spec in tiny.specs))
         assert scaled == pytest.approx(78.5 * GiB, rel=0.02)
 
     def test_per_image_ordering(self, tiny):
@@ -57,16 +58,23 @@ class TestTotals:
             assert spec.cache_bytes <= spec.nonzero_bytes <= spec.raw_bytes
 
 
+class TestScale:
+    @pytest.mark.parametrize("scale", [0.0, -1 / 512, float("nan"), float("inf")])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ConfigError, match="dataset scale"):
+            DatasetConfig(scale=scale)
+
+
 class TestDeterminism:
     def test_same_config_same_dataset(self):
-        a = AzureCommunityDataset(DatasetConfig(scale=TINY))
-        b = AzureCommunityDataset(DatasetConfig(scale=TINY))
+        a = LazyImageCatalog(DatasetConfig(scale=TINY))
+        b = LazyImageCatalog(DatasetConfig(scale=TINY))
         assert [s.seed for s in a] == [s.seed for s in b]
         assert [s.cache_bytes for s in a] == [s.cache_bytes for s in b]
 
     def test_different_seed_different_sizes(self):
-        a = AzureCommunityDataset(DatasetConfig(scale=TINY, seed=1))
-        b = AzureCommunityDataset(DatasetConfig(scale=TINY, seed=2))
+        a = LazyImageCatalog(DatasetConfig(scale=TINY, seed=1))
+        b = LazyImageCatalog(DatasetConfig(scale=TINY, seed=2))
         assert [s.cache_bytes for s in a] != [s.cache_bytes for s in b]
 
 
@@ -81,7 +89,7 @@ class TestPaperShapes:
 
     @pytest.fixture(scope="class")
     def small(self):
-        return AzureCommunityDataset(DatasetConfig(scale=SMALL))
+        return LazyImageCatalog(DatasetConfig(scale=SMALL))
 
     def test_cache_dedup_decreases_with_block_size(self, small):
         d1 = _cache_dedup(small, 1024)
@@ -98,7 +106,7 @@ class TestPaperShapes:
         """Dedup is an intensive metric: doubling the scale moves it by well
         under 2x (finite-size effects shrink as caches grow relative to
         mutation regions, so only a loose band holds at test-sized scales)."""
-        bigger = AzureCommunityDataset(DatasetConfig(scale=2 * SMALL))
+        bigger = LazyImageCatalog(DatasetConfig(scale=2 * SMALL))
         a = _cache_dedup(small, 4096)
         b = _cache_dedup(bigger, 4096)
         assert abs(a - b) / a < 0.40
@@ -106,7 +114,7 @@ class TestPaperShapes:
     def test_caches_dedup_better_than_images(self, small):
         from repro.vmi import image_stream
 
-        sample = small.images[::13]  # subsample for speed
+        sample = small.specs[::13]  # subsample for speed
         img_views = [block_view(image_stream(s), 16 * 1024) for s in sample]
         img_sigs = np.concatenate([v.signatures[~v.is_hole] for v in img_views])
         img_dedup = img_sigs.size / np.unique(img_sigs).size
@@ -118,13 +126,13 @@ class TestPaperShapes:
 
 class TestBlockView:
     def test_signatures_count(self, tiny):
-        spec = tiny.images[0]
+        spec = tiny.specs[0]
         stream = cache_stream(spec)
         view = block_view(stream, 4096)
         assert view.n_blocks == -(-stream.size // 4)
 
     def test_class_fractions_rows_sum_to_one_for_dense_blocks(self, tiny):
-        stream = cache_stream(tiny.images[0])
+        stream = cache_stream(tiny.specs[0])
         view = block_view(stream, 4096)
         dense = view.class_fractions[:-1]  # last block may be padded
         assert np.allclose(dense.sum(axis=1), 1.0)
@@ -149,7 +157,7 @@ class TestBlockView:
         from repro.vmi import make_estimator
 
         est = make_estimator("gzip6", (4096,), samples_per_point=2)
-        stream = cache_stream(tiny.images[0])
+        stream = cache_stream(tiny.specs[0])
         view = block_view(stream, 4096)
         ps = view.psizes(est)
         assert (ps <= view.lsizes).all()

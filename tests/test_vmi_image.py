@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.vmi import DatasetConfig
-from repro.vmi.dataset import AzureCommunityDataset
+from repro.vmi import DatasetConfig, LazyImageCatalog
 from repro.vmi.distro import Release
 from repro.vmi.image import ImageSpec, MutationProfile, cache_stream, image_stream
 
@@ -114,7 +113,7 @@ class TestImageStream:
 class TestDatasetIntegration:
     @pytest.fixture(scope="class")
     def tiny(self):
-        return AzureCommunityDataset(DatasetConfig(scale=1 / 2048))
+        return LazyImageCatalog(DatasetConfig(scale=1 / 2048))
 
     def test_boot_span_is_release_constant(self, tiny):
         spans = {}
