@@ -52,7 +52,6 @@ gates (:mod:`repro.slo`).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -60,7 +59,7 @@ from pathlib import Path
 from .common.errors import ConfigError, ReproError
 from .common.report import dumps_canonical
 from .experiments import ExperimentConfig, ExperimentContext
-from .experiments.context import scale_of
+from .experiments.context import environ_number, scale_of
 from .experiments import registry
 from .experiments.params import ParamSpec, parse_bool
 
@@ -323,14 +322,14 @@ def _sweep_command(argv: list[str]) -> int:
     parser.add_argument(
         "--scale",
         type=float,
-        default=float(os.environ.get("REPRO_SCALE", "32")),
+        default=environ_number("REPRO_SCALE", float, 32.0),
         help="dataset scale denominator for worker contexts (default "
         "$REPRO_SCALE or 32)",
     )
     parser.add_argument(
         "--quick",
         type=int,
-        default=int(os.environ.get("REPRO_QUICK", "1")),
+        default=environ_number("REPRO_QUICK", int, 1),
         help="keep every N-th image in worker contexts (default "
         "$REPRO_QUICK or 1)",
     )

@@ -154,8 +154,8 @@ class Squirrel:
     #: behaviour byte-identical to pre-placement builds.
     placement: object | None = None
     #: optional :class:`~repro.vmi.LazyImageCatalog` sharing memoised cache
-    #: block views across consumers (e.g. both sides of a storm register
-    #: the same images). Synthesis is pure, so a memoised view is
+    #: block views across consumers (every run of a process that reads the
+    #: same catalog). Synthesis is pure, so a memoised view is
     #: bit-identical to one built inline — results never depend on it.
     catalog: object | None = None
     #: optional :class:`~repro.shard.ShardRouter` of a sharded experiment:

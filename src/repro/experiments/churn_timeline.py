@@ -112,8 +112,8 @@ def run(
     trace: str | None = None,
     metrics: str | None = None,
 ) -> ChurnTimelineResult:
-    """Run the churn horizon. The scenario owns its dataset, so the shared
-    context is accepted for interface uniformity but unused.
+    """Run the churn horizon over the process-wide catalog at its own
+    scale; the context is accepted for interface uniformity but unused.
     ``trace``/``metrics`` export spans and metrics."""
     config = ChurnConfig.from_params(
         nodes=nodes,

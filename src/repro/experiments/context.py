@@ -1,9 +1,9 @@
 """Shared experiment context: catalogs, streams, estimators, metric memo.
 
 Every figure/table experiment pulls from one :class:`ExperimentContext`, so
-a full benchmark run builds each scale's image catalog once, folds block
-views once per (subject, block size), and calibrates each codec's
-estimator once. Experiments read the spec table (``specs``, ``census()``,
+a full benchmark run builds its catalog once (:func:`~repro.vmi.catalog_at`),
+folds block views once per (subject, block size), and calibrates each
+codec's estimator once. Experiments read the spec table (``specs``, ``census()``,
 ``scaled_up``) from :meth:`ExperimentContext.catalog`.
 
 Environment knobs (read by :func:`default_context`):
@@ -27,10 +27,10 @@ from ..analysis import MetricsResult, dataset_metrics
 from ..codecs import SizeEstimator
 from ..common.errors import ConfigError
 from ..common.units import ANALYSIS_BLOCK_SIZES
-from ..vmi import DatasetConfig, LazyImageCatalog, Subject, make_estimator
+from ..vmi import LazyImageCatalog, Subject, catalog_at, make_estimator
 from ..vmi.streams import BlockView
 
-__all__ = ["ExperimentConfig", "ExperimentContext", "default_context", "scale_of"]
+__all__ = ["ExperimentConfig", "ExperimentContext", "default_context", "environ_number", "scale_of"]
 
 
 @dataclass(frozen=True)
@@ -45,31 +45,22 @@ class ExperimentConfig:
 class ExperimentContext:
     """Lazily built, memoising experiment state.
 
-    Datasets live behind :meth:`catalog`: per scale, one
-    :class:`~repro.vmi.LazyImageCatalog` whose grain streams materialise
-    on first access under the default byte budget. A catalog is a few
-    hundred spec records — holding one per scale is cheap; the heavy
-    stream memos inside each are budget-bounded.
+    Datasets live behind :meth:`catalog`: per scale, the process-wide
+    :class:`~repro.vmi.LazyImageCatalog` (:func:`~repro.vmi.catalog_at`),
+    shared with every timed run and every other context of the process,
+    whose grain streams materialise on first access under the default
+    byte budget.
     """
 
     def __init__(self, config: ExperimentConfig | None = None) -> None:
         self.config = config or ExperimentConfig()
-        self._catalogs: dict[float, LazyImageCatalog] = {}
         self._metrics_memo: dict[tuple[Subject, str, int], MetricsResult] = {}
 
     # -- dataset and streams -----------------------------------------------------
 
-    def catalog(self, scale: float | None = None) -> LazyImageCatalog:
-        """The lazy catalog at ``scale`` (default: the analysis scale),
-        memoised for the context's lifetime. Timed scenarios own their
-        scale (usually 1/512, not the analysis scale), so without this
-        every storm/recovery run in a ``python -m repro all`` sweep
-        re-built the spec table."""
-        if scale is None:
-            scale = self.config.scale
-        if scale not in self._catalogs:
-            self._catalogs[scale] = LazyImageCatalog(DatasetConfig(scale=scale))
-        return self._catalogs[scale]
+    def catalog(self) -> LazyImageCatalog:
+        """The process-wide catalog at the analysis scale."""
+        return catalog_at(self.config.scale)
 
     @property
     def specs(self):
@@ -142,6 +133,17 @@ def default_context() -> ExperimentContext:
     one frozen at first call; repeated calls under one environment still
     share a single dataset.
     """
-    denominator = float(os.environ.get("REPRO_SCALE", "32"))
-    quick = int(os.environ.get("REPRO_QUICK", "1"))
-    return _shared_context(denominator, quick)
+    return _shared_context(
+        environ_number("REPRO_SCALE", float, 32.0),
+        environ_number("REPRO_QUICK", int, 1),
+    )
+
+
+def environ_number(name: str, kind: type, default):
+    """``kind(os.environ[name])``, ``default`` when unset; a value that does
+    not parse is a :class:`ConfigError`."""
+    text = os.environ.get(name)
+    try:
+        return default if text is None else kind(text)
+    except ValueError:
+        raise ConfigError(f"{name}={text!r} is not a valid {kind.__name__}") from None

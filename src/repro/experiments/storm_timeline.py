@@ -66,7 +66,8 @@ from ..workload import (
     shard_storm,
     storm_arrivals,
 )
-from .context import ExperimentContext, default_context
+from ..vmi import catalog_at
+from .context import ExperimentContext
 from .params import ParamSpec
 from .registry import register
 
@@ -206,12 +207,8 @@ def storm_params(
     )
 
 
-def _run_and_export(ctx, config: StormConfig, metrics, drive):
-    """Run ``drive(catalog)`` over the context's catalog at the storm's own
-    scale (latencies stay calibrated to the paper's cluster whatever
-    ``--scale`` says, while a full sweep still synthesises the storm-scale
-    image set once), then write the result's exports into ``metrics``."""
-    result = drive((ctx or default_context()).catalog(config.scale))
+def _exported(result, metrics):
+    """Write ``result``'s exports into ``metrics`` (if given); return it."""
     if metrics is not None:
         write_run_exports(metrics, result)
     return result
@@ -304,14 +301,11 @@ def run(
     config = StormConfig.from_params(
         nodes=nodes, vms_per_node=vms_per_node, seed=seed, faults=faults
     )
-    return _run_and_export(
-        ctx,
-        config,
-        metrics,
-        lambda catalog: StormTimelineResult(
-            config=config,
-            report=boot_storm(config, dataset=catalog, trace_path=trace),
+    return _exported(
+        StormTimelineResult(
+            config=config, report=boot_storm(config, trace_path=trace)
         ),
+        metrics,
     )
 
 
@@ -557,40 +551,41 @@ def run_placement(
         adopt_budget_bytes=adopt_budget_mb * MiB,
     )
 
-    def drive(catalog) -> PlacementResult:
-        arrivals = storm_arrivals(config, catalog)
-        n_images = arrivals.n_registered
-        coordinator = None
+    # the storm's own scale: latencies ignore the context's ``--scale``
+    catalog = catalog_at(config.scale)
+    arrivals = storm_arrivals(config, catalog)
+    n_images = arrivals.n_registered
+    coordinator = None
 
-        def attach(squirrel):
-            nonlocal coordinator
-            fleet = tuple(node.name for node in squirrel.cluster.compute)
-            coordinator = build_coordinator(
-                spec, squirrel.cluster, placement_context(arrivals, fleet)
-            )
-            return coordinator
+    def attach(squirrel):
+        nonlocal coordinator
+        fleet = tuple(node.name for node in squirrel.cluster.compute)
+        coordinator = build_coordinator(
+            spec, squirrel.cluster, placement_context(arrivals, fleet)
+        )
+        return coordinator
 
-        report = boot_storm(
-            config,
-            dataset=catalog,
-            trace_path=trace,
-            placement_factory=None if policy == "full" else attach,
-        )
-        tallies = (
-            coordinator.stats()
-            if coordinator is not None
-            else _full_baseline_tallies(catalog, config, n_images)
-        )
-        return PlacementResult(
+    report = boot_storm(
+        config,
+        trace_path=trace,
+        placement_factory=None if policy == "full" else attach,
+    )
+    tallies = (
+        coordinator.stats()
+        if coordinator is not None
+        else _full_baseline_tallies(catalog, config, n_images)
+    )
+    return _exported(
+        PlacementResult(
             config=config,
             spec=spec.to_dict(),
             placement=_placement_block(
                 tallies, catalog, config, n_images, report
             ),
             report=report,
-        )
-
-    return _run_and_export(ctx, config, metrics, drive)
+        ),
+        metrics,
+    )
 
 
 # -- shards ---------------------------------------------------------------------------
@@ -725,23 +720,22 @@ def run_shards(
         nodes=nodes, vms_per_node=vms_per_node, seed=seed, faults=faults
     )
 
-    def drive(catalog) -> ShardStormResult:
-        if shards == 1:
-            return ShardStormResult(
-                config=config, shards=shards, grouping=grouping,
-                quota_mb=quota_mb, sharding={},
-                report=boot_storm(config, dataset=catalog, trace_path=trace),
-                global_side={},
-            )
+    if shards == 1:
+        result = ShardStormResult(
+            config=config, shards=shards, grouping=grouping,
+            quota_mb=quota_mb, sharding={},
+            report=boot_storm(config, trace_path=trace),
+            global_side={},
+        )
+    else:
         outcome = shard_storm(
             config,
             shards=shards,
             grouping=grouping,
             quota_mb=quota_mb,
-            dataset=catalog,
             trace_path=trace,
         )
-        return ShardStormResult(
+        result = ShardStormResult(
             config=config, shards=shards, grouping=grouping,
             quota_mb=quota_mb, sharding=outcome.sharding,
             report=outcome.report,
@@ -752,5 +746,4 @@ def run_shards(
                 "latency_p95": outcome.global_side.latency.p95,
             },
         )
-
-    return _run_and_export(ctx, config, metrics, drive)
+    return _exported(result, metrics)

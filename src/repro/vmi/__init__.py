@@ -6,11 +6,11 @@ clustered mutations (:mod:`~repro.vmi.image`). The spec builder
 (:mod:`~repro.vmi.dataset`) reproduces Table 2's OS mix and the paper's
 dataset totals at a configurable scale; :class:`LazyImageCatalog`
 (:mod:`~repro.vmi.catalog`) holds those specs and synthesizes grain
-streams on first access.
+streams on first access; :func:`catalog_at` keeps one per scale per process.
 """
 
 from .calibration import make_estimator
-from .catalog import DEFAULT_BUDGET_BYTES, LazyImageCatalog, Subject
+from .catalog import DEFAULT_BUDGET_BYTES, LazyImageCatalog, Subject, catalog_at
 from .content import (
     GRAIN_SIZE,
     N_CLASSES,
@@ -47,6 +47,7 @@ __all__ = [
     "Subject",
     "block_view",
     "cache_stream",
+    "catalog_at",
     "class_of",
     "default_families",
     "grains_per_block",

@@ -14,6 +14,11 @@ stream builder its prefix. Synthesis is a pure function of the spec, so an
 evicted entry re-synthesizes bit-identically — eviction can change timing,
 never results.
 
+A catalog is a pure function of its scale, so :func:`catalog_at` keeps one
+per scale for the whole process: a run re-reads the views earlier runs
+folded. Those arrays are shared across runs, so they are read-only; a
+consumer that writes into one raises instead of corrupting the next run.
+
 Consumers read ``specs``, ``spec(image_id)``, ``census()``,
 ``scaled_up(value)``, ``grain_stream(image_id)`` and
 ``block_view(image_id, block_size)``.
@@ -22,6 +27,7 @@ Consumers read ``specs``, ``spec(image_id)``, ``census()``,
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import cache
 from typing import Iterator, Literal
 
 import numpy as np
@@ -35,7 +41,7 @@ from .image import MASTER_WINDOWS, ImageSpec, cache_stream, image_stream
 from .pools import master_grains
 from .streams import BlockView, block_view
 
-__all__ = ["DEFAULT_BUDGET_BYTES", "LazyImageCatalog", "Subject"]
+__all__ = ["DEFAULT_BUDGET_BYTES", "LazyImageCatalog", "Subject", "catalog_at"]
 
 #: which grain stream of an image: its boot cache or the whole image
 Subject = Literal["caches", "images"]
@@ -43,15 +49,6 @@ Subject = Literal["caches", "images"]
 #: default memo budget: comfortably holds every cache stream at any scale
 #: and the hot working set of full image streams at scale=1
 DEFAULT_BUDGET_BYTES = 2 * GiB
-
-
-def _view_nbytes(view: BlockView) -> int:
-    return (
-        view.signatures.nbytes
-        + view.class_fractions.nbytes
-        + view.lsizes.nbytes
-        + view.is_hole.nbytes
-    )
 
 
 class LazyImageCatalog:
@@ -128,6 +125,7 @@ class LazyImageCatalog:
         spec = self.spec(image_id)
         builder = cache_stream if subject == "caches" else image_stream
         stream = builder(spec, self._master_window)
+        stream.flags.writeable = False
         self._admit(key, stream, stream.nbytes)
         return stream
 
@@ -140,7 +138,10 @@ class LazyImageCatalog:
             self._memo.move_to_end(key)
             return hit  # type: ignore[return-value]
         view = block_view(self.grain_stream(image_id, subject), block_size)
-        self._admit(key, view, _view_nbytes(view))
+        arrays = (view.signatures, view.class_fractions, view.lsizes, view.is_hole)
+        for array in arrays:
+            array.flags.writeable = False
+        self._admit(key, view, sum(array.nbytes for array in arrays))
         return view
 
     def _master_window(self, spec: ImageSpec, kind: PoolKind) -> np.ndarray:
@@ -171,3 +172,9 @@ class LazyImageCatalog:
             old_key, _ = self._memo.popitem(last=False)
             self._resident -= self._memo_bytes.pop(old_key)
 
+
+@cache
+def catalog_at(scale: float) -> LazyImageCatalog:
+    """The process-wide catalog at ``scale``: every run that is not handed
+    a private catalog reads this one, so its memo outlives each run."""
+    return LazyImageCatalog(DatasetConfig(scale=scale))

@@ -1,8 +1,8 @@
 """The shared rig: one scenario's cluster, engine and telemetry, wired.
 
-The rig reads its images from a :class:`~repro.vmi.LazyImageCatalog`
-(``rig.catalog.specs``); a caller that already owns one passes it as
-``dataset=`` so both sides of a storm share one stream memo.
+The rig reads its images from the process-wide catalog at its scale
+(:func:`~repro.vmi.catalog_at`, ``rig.catalog.specs``), so every run in a
+process shares one stream/view memo; ``dataset=`` hands in a private one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from ..metrics import MetricsRegistry, Sampler, TimeSeriesStore, metrics_block
 from ..net import LinkProfile
 from ..obs import runtime as obs_runtime
 from ..sim import Engine, Timeline
-from ..vmi import DatasetConfig, LazyImageCatalog, make_estimator
+from ..vmi import LazyImageCatalog, catalog_at, make_estimator
 from .timed import TimedSquirrel
 
 #: ring capacity of the per-run time-series store (samples per series)
@@ -58,7 +58,7 @@ def _build_rig(
     placement_factory=None,
     sharding_factory=None,
 ) -> _Rig:
-    catalog = dataset or LazyImageCatalog(DatasetConfig(scale=scale))
+    catalog = dataset or catalog_at(scale)
     cluster = IaaSCluster.build(
         n_compute=n_compute, n_storage=n_storage, block_size=block_size, link=link
     )

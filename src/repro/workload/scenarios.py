@@ -34,7 +34,7 @@ from ..obs import (
 )
 from ..obs import runtime as obs_runtime
 from ..sim import HistogramStats
-from ..vmi import DatasetConfig, LazyImageCatalog
+from ..vmi import LazyImageCatalog, catalog_at
 from ..placement import PlacementContext
 from .arrivals import DAY_S, diurnal_arrivals, flash_crowd_arrivals, poisson_arrivals
 from .rig import _build_rig
@@ -289,9 +289,9 @@ def boot_storm(
 ) -> StormReport:
     """Run the same flash crowd with Squirrel and without caches.
 
-    ``dataset`` lets a caller that already owns a catalog (the experiment
-    registry's shared context) avoid rebuilding the spec table and streams
-    per run; it must match ``config.scale``.
+    Both sides read the process-wide catalog at ``config.scale``
+    (:func:`~repro.vmi.catalog_at`); ``dataset`` hands in a private
+    catalog instead, which must match ``config.scale``.
     With a ``trace_path``, both sides' spans are exported there as one
     Chrome trace-event JSON file (processes ``squirrel``/``baseline``).
 
@@ -304,9 +304,7 @@ def boot_storm(
     """
     if config.n_nodes < 1 or config.vms_per_node < 1:
         raise ConfigError("storm needs at least one node and one VM")
-    # one catalog for both sides: they register the same specs, so the
-    # Squirrel side's cache views come out of the shared memo for free
-    catalog = dataset or LazyImageCatalog(DatasetConfig(scale=config.scale))
+    catalog = dataset or catalog_at(config.scale)
     arrivals = storm_arrivals(config, catalog)
     sides = {}
     tracers = {}

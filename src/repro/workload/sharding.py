@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from ..common.errors import ConfigError
 from ..common.report import ReportBase
 from ..shard import ShardRouter, build_plan
-from ..vmi import DatasetConfig, LazyImageCatalog
+from ..vmi import catalog_at
 from .scenarios import (
     StormConfig,
     StormReport,
@@ -84,7 +84,6 @@ def shard_storm(
     shards: int,
     grouping: str = "tenant",
     quota_mb: int = 0,
-    dataset: LazyImageCatalog | None = None,
     trace_path=None,
 ) -> ShardStormOutcome:
     """Run the grouped-vs-global sharding comparison.
@@ -97,7 +96,7 @@ def shard_storm(
     """
     if shards < 2:
         raise ConfigError("shard_storm needs >= 2 shards (1 is the plain storm)")
-    catalog = dataset or LazyImageCatalog(DatasetConfig(scale=config.scale))
+    catalog = catalog_at(config.scale)
     arrivals = storm_arrivals(config, catalog)
     specs = catalog.specs[: arrivals.n_registered]
     # tenant-mode plans group what the trace actually boots

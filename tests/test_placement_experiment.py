@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from repro.common.report import dumps_canonical
-from repro.experiments import default_context, registry, storm_timeline
+from repro.experiments import registry, storm_timeline
 from repro.sweep import SweepSpec, run_sweep
+from repro.vmi import catalog_at
 from repro.workload import StormConfig, storm_arrivals
 
 #: small enough for unit tests, large enough for redirects to happen
@@ -104,9 +105,7 @@ class TestTracePopulation:
             if len(holders) == 8
         }
         config = StormConfig(n_nodes=8, vms_per_node=4, seed=0)
-        arrivals = storm_arrivals(
-            config, default_context().catalog(config.scale)
-        )
+        arrivals = storm_arrivals(config, catalog_at(config.scale))
         assert arrivals.n_registered < arrivals.population.n_images
         popularity = arrivals.population.expected_popularity()
         hottest = np.argsort(

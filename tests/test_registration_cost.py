@@ -14,6 +14,8 @@ checked against what each step touched:
   not once per registered image.
 """
 
+import pytest
+
 import repro.vmi.catalog
 import repro.vmi.image
 
@@ -25,6 +27,7 @@ from repro.zfs import Dataset
 from repro.zfs.dmu import FileObject
 
 
+@pytest.mark.usefixtures("cold_catalogs")
 def test_snapshot_views_and_scrape_appends_follow_what_changed(monkeypatch):
     counts = {"views": 0, "dirty": 0, "snapshots": 0, "registrations": 0,
               "appends": 0, "scrapes": 0, "columns": 0}

@@ -138,6 +138,41 @@ class TestDefaultContextEnv:
             default_context()
 
 
+    @pytest.mark.parametrize(
+        "name, value", [("REPRO_SCALE", "abc"), ("REPRO_QUICK", "2.5")]
+    )
+    def test_non_numeric_env_is_config_error(self, monkeypatch, name, value):
+        from repro.experiments.context import default_context
+
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ConfigError, match=f"{name}=.* is not a valid"):
+            default_context()
+
+
+class TestSweepBadEnvNumber:
+    """A ``REPRO_SCALE``/``REPRO_QUICK`` that does not parse fails the
+    sweep with one ``error:`` line and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "name, value, expected",
+        [
+            ("REPRO_SCALE", "abc", "REPRO_SCALE='abc' is not a valid float"),
+            ("REPRO_QUICK", "two", "REPRO_QUICK='two' is not a valid int"),
+            ("REPRO_QUICK", "2.5", "REPRO_QUICK='2.5' is not a valid int"),
+        ],
+    )
+    def test_env(self, capsys, monkeypatch, tmp_path, name, value, expected):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(name, value)
+        assert main(["sweep", "churn", "--grid", "seed=0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {expected}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+
 class TestSweepBadScale:
     """A bad denominator fails the sweep up front with exit 2, whether it
     comes from ``--scale`` or from ``REPRO_SCALE`` (the flag's default)."""

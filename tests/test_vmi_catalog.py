@@ -2,23 +2,30 @@
 
 The contract that keeps every pinned experiment honest: synthesis is a
 pure function of the spec, so the catalog — including one that evicted
-and re-synthesised an entry — yields streams and views bit-identical to
-inline synthesis from the spec.
+and re-synthesised an entry, and the process-wide one that earlier runs
+left warm — yields streams and views bit-identical to inline synthesis
+from the spec.
 """
 
 import numpy as np
 import pytest
 
+import repro.vmi.catalog
+import repro.workload.rig
 from repro.common.errors import ConfigError
+from repro.common.report import dumps_canonical
+from repro.sweep import SweepSpec, run_sweep
 from repro.vmi import (
     DatasetConfig,
     LazyImageCatalog,
     block_view,
     cache_stream,
+    catalog_at,
     image_stream,
 )
 from repro.vmi.content import PoolKind
 from repro.vmi.dataset import _build_images
+from repro.workload import StormConfig, boot_storm
 
 TINY = DatasetConfig(scale=1 / 4096)
 
@@ -136,7 +143,7 @@ class TestReleaseMasters:
         fresh = LazyImageCatalog(TINY)
         stream = fresh.grain_stream(0)
         window = fresh._memo[("masters", fresh.spec(0).release, PoolKind.BOOT)]
-        assert stream.flags.writeable and not window.flags.writeable
+        assert stream.flags.owndata and not window.flags.writeable
         assert not np.shares_memory(stream, window)
 
     def test_windows_count_in_resident_bytes_and_get_evicted(self):
@@ -151,3 +158,78 @@ class TestReleaseMasters:
         assert tight.grain_stream(0, "images").tobytes() == stream.tobytes()
         assert list(tight._memo) == [("images", 0)]
         assert tight.resident_bytes == stream.nbytes
+
+
+class TestProcessWideCatalog:
+    """``catalog_at`` keeps one catalog per scale for the whole process:
+    later runs re-read what earlier runs folded, and nothing they do can
+    change the bytes."""
+
+    def test_one_catalog_per_scale(self):
+        assert catalog_at(1 / 4096) is catalog_at(1 / 4096)
+        assert catalog_at(1 / 4096) is not catalog_at(1 / 2048)
+        assert catalog_at(1 / 4096).config == TINY
+
+    def test_memoised_arrays_are_read_only(self):
+        catalog = catalog_at(TINY.scale)
+        view = catalog.block_view(0, 4096)
+        arrays = (
+            catalog.grain_stream(0), view.signatures, view.class_fractions,
+            view.lsizes, view.is_hole,
+        )
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+        # what the next reader gets is what the first one folded
+        assert catalog.block_view(0, 4096) is view
+
+    @pytest.mark.usefixtures("cold_catalogs")
+    def test_warm_runs_fold_once_and_match_cold_bytes(self, monkeypatch):
+        storms = [StormConfig(n_nodes=8, vms_per_node=4, seed=s) for s in (0, 1)]
+        churn = SweepSpec.from_grid(
+            "churn", "seed=0,1",
+            {"nodes": 4, "days": 0.25, "registrations_per_day": 8.0},
+        )
+        requested: set[tuple] = set()
+        calls, folds = [], []
+        raw_view = LazyImageCatalog.block_view
+        raw_fold = repro.vmi.catalog.block_view
+
+        def view(self, image_id, block_size, subject="caches"):
+            calls.append(image_id)
+            requested.add((id(self), image_id, block_size, subject))
+            return raw_view(self, image_id, block_size, subject)
+
+        def fold(stream, block_size):
+            folds.append(block_size)
+            return raw_fold(stream, block_size)
+
+        def run_all(dataset=None):
+            return [
+                dumps_canonical(boot_storm(config, dataset=dataset).to_dict())
+                for config in storms
+            ] + [dumps_canonical(run_sweep(churn, workers=1).to_dict())]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LazyImageCatalog, "block_view", view)
+            patch.setattr(repro.vmi.catalog, "block_view", fold)
+            warm = run_all()
+        # one catalog served every run, and it folded each view once
+        assert len({key[0] for key in requested}) == 1
+        assert len(folds) == len(requested) > 0
+        assert len(calls) > len(folds)  # the later runs hit the memo
+
+        cold = []
+        for config in storms:
+            catalog_at.cache_clear()
+            cold.append(dumps_canonical(boot_storm(config).to_dict()))
+        catalog_at.cache_clear()
+        cold.append(dumps_canonical(run_sweep(churn, workers=1).to_dict()))
+        assert cold == warm
+
+        # a private catalog that evicts every entry after its use
+        private = LazyImageCatalog(
+            DatasetConfig(scale=storms[0].scale), budget_bytes=1
+        )
+        monkeypatch.setattr(repro.workload.rig, "catalog_at", lambda _: private)
+        assert run_all(dataset=private) == warm
