@@ -4,12 +4,10 @@ from .accounting import PoolAccountant, PoolSnapshot
 from .curvefit import (
     CURVE_FITTERS,
     FittedCurve,
-    SelectionResult,
     fit_hoerl,
     fit_linear,
     fit_mmf,
     rmse,
-    select_best_curve,
 )
 from .metrics import (
     MetricsResult,
@@ -27,7 +25,6 @@ __all__ = [
     "MetricsResult",
     "PoolAccountant",
     "PoolSnapshot",
-    "SelectionResult",
     "Series",
     "TextTable",
     "combined_compression_ratio",
@@ -40,5 +37,4 @@ __all__ = [
     "fit_mmf",
     "render_series",
     "rmse",
-    "select_best_curve",
 ]

@@ -12,7 +12,8 @@ and selects per metric by a train-on-half / score-on-all RMSE protocol:
 fit each candidate on the first half of the points, compute RMSE over *all*
 points, pick the lowest, then refit the winner on all points for
 extrapolation. The paper finds linear best for disk and MMF best for memory
-(Tables 3, 4); the same protocol here reproduces that selection.
+(Tables 3, 4); :func:`repro.experiments.fits.select_curve` runs the same
+protocol and reproduces that selection.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "fit_hoerl",
     "rmse",
     "CURVE_FITTERS",
-    "select_best_curve",
-    "SelectionResult",
 ]
 
 
@@ -137,48 +136,3 @@ def rmse(curve: FittedCurve, x: Sequence[float], y: Sequence[float]) -> float:
     y = np.asarray(y, dtype=np.float64)
     predicted = np.asarray(curve.predict(x), dtype=np.float64)
     return float(np.sqrt(np.mean((predicted - y) ** 2)))
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Outcome of the paper's train-on-half model-selection protocol."""
-
-    winner: FittedCurve  #: winning curve type refit on ALL points
-    half_fits: dict[str, FittedCurve]  #: candidates trained on the first half
-    rmse_all: dict[str, float]  #: candidate RMSE over all points
-
-    @property
-    def winner_name(self) -> str:
-        return self.winner.name
-
-
-def select_best_curve(
-    x: Sequence[float],
-    y: Sequence[float],
-    *,
-    candidates: Sequence[str] = ("linear", "MMF", "hoerl"),
-) -> SelectionResult:
-    """Section 4.3.2's four-step protocol.
-
-    1. train each candidate on the first half of the points,
-    2. score each by RMSE over *all* points,
-    3. pick the lowest,
-    4. refit the winning curve type on all points (that fit extrapolates).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    half = max(2, x.size // 2)
-    half_fits: dict[str, FittedCurve] = {}
-    scores: dict[str, float] = {}
-    for name in candidates:
-        try:
-            fit = CURVE_FITTERS[name](x[:half], y[:half])
-            half_fits[name] = fit
-            scores[name] = rmse(fit, x, y)
-        except FitError:
-            continue
-    if not scores:
-        raise FitError("no candidate curve could be fitted")
-    winner_name = min(scores, key=scores.get)
-    winner = CURVE_FITTERS[winner_name](x, y)
-    return SelectionResult(winner=winner, half_fits=half_fits, rmse_all=scores)

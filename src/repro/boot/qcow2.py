@@ -1,11 +1,13 @@
 """QCOW2 copy-on-write image model (cluster-granular).
 
 Models what the paper's boot analysis needs from QCOW2 (Section 4.2.3,
-citing [22]): the image is divided into clusters (64 KB by default); writes
-allocate local clusters (copy-on-write), reads of unallocated ranges fall
-through to the backing file as **cluster-rounded** requests — the behaviour
-that turns small guest reads into 64 KB backing-file reads and produces the
-free-prefetch effect through the host page cache.
+citing [22]): the image is divided into clusters (64 KB by default), and
+reads of unallocated ranges fall through to the backing file as
+**cluster-rounded** requests — the behaviour that turns small guest reads
+into 64 KB backing-file reads and produces the free-prefetch effect through
+the host page cache. A copy-on-read image allocates the clusters it fetched,
+so the next boot finds them local. Guest writes are not replayed: they land
+in the top CoW layer and never reach a backing file.
 
 The chain CoW → VMI cache → base VMI (Figure 1/7) is built by pointing
 ``backing`` at another :class:`Qcow2Image` or any object with a
@@ -17,7 +19,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from ..common.errors import BootError
-from ..common.units import QCOW2_CLUSTER_SIZE, ceil_div
+from ..common.units import QCOW2_CLUSTER_SIZE
 
 __all__ = ["Backing", "Qcow2Image"]
 
@@ -83,16 +85,6 @@ class Qcow2Image:
             elapsed += self._fetch_clusters(run_start, last + 1)
         return elapsed
 
-    def write_range(self, offset: int, length: int) -> float:
-        """Guest write: allocates local clusters (COW)."""
-        if length <= 0:
-            return 0.0
-        first = offset // self.cluster_size
-        last = (offset + length - 1) // self.cluster_size
-        for cluster in range(first, last + 1):
-            self._allocated.add(cluster)
-        return length * self.local_write_cost
-
     def _fetch_clusters(self, first_cluster: int, end_cluster: int) -> float:
         """Fetch [first, end) clusters from the backing, cluster-rounded."""
         if self.backing is None:
@@ -110,24 +102,3 @@ class Qcow2Image:
             self.cor_bytes += length
             elapsed += length * self.local_write_cost
         return elapsed
-
-    # -- state inspection ------------------------------------------------------
-
-    @property
-    def allocated_clusters(self) -> int:
-        return len(self._allocated)
-
-    @property
-    def allocated_bytes(self) -> int:
-        return len(self._allocated) * self.cluster_size
-
-    def is_warm_for(self, offset: int, length: int) -> bool:
-        """True when the whole range is locally allocated (a warm cache)."""
-        first = offset // self.cluster_size
-        last = (offset + max(length, 1) - 1) // self.cluster_size
-        return all(c in self._allocated for c in range(first, last + 1))
-
-    def warm_fraction(self, working_set_bytes: int) -> float:
-        """Fraction of a working set already cached."""
-        needed = ceil_div(working_set_bytes, self.cluster_size)
-        return min(1.0, len(self._allocated) / needed) if needed else 1.0

@@ -78,26 +78,3 @@ def format_bytes(num_bytes: float) -> str:
             return f"{magnitude:.1f} {suffix}"
         magnitude /= 1024.0
     raise AssertionError("unreachable")
-
-
-def parse_size(text: str) -> int:
-    """Parse a human size string (``'64K'``, ``'10 GB'``, ``'512'``) to bytes."""
-    cleaned = text.strip().upper().replace(" ", "")
-    if not cleaned:
-        raise ValueError("empty size string")
-    multipliers = {
-        "K": KiB, "KB": KiB, "KIB": KiB,
-        "M": MiB, "MB": MiB, "MIB": MiB,
-        "G": GiB, "GB": GiB, "GIB": GiB,
-        "T": TiB, "TB": TiB, "TIB": TiB,
-        "B": 1, "": 1,
-    }
-    index = len(cleaned)
-    while index > 0 and not cleaned[index - 1].isdigit():
-        index -= 1
-    number, unit = cleaned[:index], cleaned[index:]
-    if not number:
-        raise ValueError(f"no numeric part in size string {text!r}")
-    if unit not in multipliers:
-        raise ValueError(f"unknown size unit {unit!r} in {text!r}")
-    return int(number) * multipliers[unit]

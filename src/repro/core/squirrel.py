@@ -108,19 +108,6 @@ class RegistrationRecord:
     propagation_seconds: float
     receivers: int
 
-    @property
-    def workflow_seconds(self) -> float:
-        """End-to-end registration time: boot-once + snapshot + multicast.
-
-        Section 3.2's claim — "the image registration workflow does not take
-        more than a minute" — is checked against this in the tests.
-        """
-        return (
-            REGISTRATION_BOOT_SECONDS
-            + SNAPSHOT_CREATE_SECONDS
-            + self.propagation_seconds
-        )
-
 
 @dataclass(frozen=True)
 class BootOutcome:

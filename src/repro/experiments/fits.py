@@ -22,6 +22,7 @@ from ..analysis import (
     rmse,
     render_series,
 )
+from ..common.errors import FitError
 from ..common.report import ReportBase, to_jsonable
 from ..common.units import GiB, MiB
 from .context import ExperimentContext, default_context
@@ -33,6 +34,7 @@ __all__ = [
     "EXTRAPOLATION_CACHES",
     "FitOutcome",
     "MetricFits",
+    "select_curve",
     "run_disk",
     "run_memory",
     "render_fit_quality",
@@ -97,11 +99,10 @@ def _series_for(metric: str, block_size: int, ctx: ExperimentContext) -> np.ndar
     return scale_up(trajectory.memory_bytes.astype(np.float64)) / MiB
 
 
-def _fit_one(metric: str, block_size: int, ctx: ExperimentContext) -> FitOutcome:
-    from ..common.errors import FitError
-
-    y = _series_for(metric, block_size, ctx)
-    x = np.arange(1, y.size + 1, dtype=np.float64)
+def select_curve(block_size: int, x: np.ndarray, y: np.ndarray) -> FitOutcome:
+    """Section 4.3.2's protocol on one series: fit every candidate on the
+    first half of the points, score each by RMSE over all of them, and
+    refit the lowest-scoring curve type on all points."""
     half = max(2, x.size // 2)
     half_fits: dict[str, FittedCurve] = {}
     scores: dict[str, float] = {}
@@ -123,6 +124,12 @@ def _fit_one(metric: str, block_size: int, ctx: ExperimentContext) -> FitOutcome
         winner_name=winner_name,
         winner_full_fit=winner_full,
     )
+
+
+def _fit_one(metric: str, block_size: int, ctx: ExperimentContext) -> FitOutcome:
+    y = _series_for(metric, block_size, ctx)
+    x = np.arange(1, y.size + 1, dtype=np.float64)
+    return select_curve(block_size, x, y)
 
 
 def run_disk(ctx: ExperimentContext | None = None) -> MetricFits:

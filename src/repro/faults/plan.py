@@ -73,9 +73,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.faults)
 
-    def of_kind(self, kind: FaultKind) -> tuple[FaultSpec, ...]:
-        return tuple(f for f in self.faults if f.kind is kind)
-
     def render(self) -> str:
         return ",".join(f.render() for f in self.faults)
 

@@ -11,7 +11,10 @@ instead of the glusterfs origin, and pluggable transports
 :class:`~repro.placement.coordinator.PlacementCoordinator` ties the three
 together and hangs off :class:`~repro.core.squirrel.Squirrel` as its
 optional ``placement`` field — when absent, behaviour is byte-identical to
-the paper baseline.
+the paper baseline. Policies place by the workload's declared popularity,
+:meth:`~repro.workload.tenants.TenantPopulation.expected_popularity`, which
+:func:`~repro.workload.scenarios.placement_context` packs into a
+:class:`~repro.placement.policy.PlacementContext`.
 """
 
 from .coordinator import PlacementCoordinator, PlacementSpec, build_coordinator
@@ -26,7 +29,6 @@ from .policy import (
     ZipfWeightedPolicy,
     make_policy,
 )
-from .popularity import fleet_popularity, observed_popularity, zipf_weights
 from .transport import (
     PEER_REDIRECT_PURPOSE,
     SEED_PURPOSE,
@@ -51,9 +53,6 @@ __all__ = [
     "TopKPolicy",
     "ZipfWeightedPolicy",
     "build_coordinator",
-    "fleet_popularity",
     "make_policy",
-    "observed_popularity",
     "seed_transfer",
-    "zipf_weights",
 ]

@@ -85,8 +85,6 @@ class PlacementCoordinator:
     _rows: dict[int, list] = field(default_factory=dict)
     #: per-node logical bytes spent from the adoption budget
     _adopted_by_node: dict[str, int] = field(default_factory=dict)
-    #: result of the most recent seeding round (the timed layer charges it)
-    last_seed: SeedResult | None = None
 
     # running tallies, surfaced via stats()
     peer_redirects: int = 0
@@ -145,7 +143,6 @@ class PlacementCoordinator:
             [holder.node for holder in online],
             image_spec.cache_bytes,
         )
-        self.last_seed = result
         self.seed_rounds += 1
         self.seed_receiver_bytes += result.receiver_bytes
         self.seed_origin_bytes += result.origin_bytes

@@ -110,22 +110,3 @@ class Timeline:
                 k: self.stats(k).as_dict() for k in sorted(self._observations)
             },
         }
-
-    def render(self, title: str = "timeline") -> str:
-        """Human-oriented multi-line report."""
-        lines = [title]
-        for name in sorted(self._counters):
-            lines.append(f"  {name}: {self._counters[name]:g}")
-        for name in sorted(self._gauges):
-            samples = self._gauges[name]
-            at, last = samples[-1]
-            lines.append(
-                f"  {name}: last={last:g} @ {at:.3f}s (n={len(samples)})"
-            )
-        for name in sorted(self._observations):
-            s = self.stats(name)
-            lines.append(
-                f"  {name}: n={s.count} mean={s.mean:.3f} "
-                f"p50={s.p50:.3f} p95={s.p95:.3f} p99={s.p99:.3f} max={s.maximum:.3f}"
-            )
-        return "\n".join(lines)

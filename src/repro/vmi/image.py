@@ -167,7 +167,7 @@ def _apply_mutations(
         else:
             # key private grains by position so overlapping regions of one
             # image agree, while other images never collide
-            out[start:end] = _private_at(
+            out[start:end] = private_grains(
                 spec.seed,
                 f"{region_tag}-mut",
                 np.arange(start, end, dtype=np.int64),
@@ -278,25 +278,10 @@ def _user_stream(spec: ImageSpec) -> np.ndarray:
     if pkg_mask.any():
         out[pkg_mask] = package_pool_grains(offsets[pkg_mask])
     if (~pkg_mask).any():
-        out[~pkg_mask] = _private_at(
+        out[~pkg_mask] = private_grains(
             spec.seed, "user", offsets[~pkg_mask], kind=PoolKind.USER
         )
     return out
-
-
-def _private_at(
-    image_seed: int, region: str, offsets: np.ndarray, *, kind: PoolKind
-) -> np.ndarray:
-    """Private grains at explicit per-grain offsets (vectorised helper)."""
-    from ..common.hashing import derive_seed, mix64_pair
-    from .content import tag_with_classes
-
-    seed = derive_seed("private", image_seed, region)
-    base = mix64_pair(
-        np.full(offsets.shape, seed, dtype=np.uint64),
-        np.asarray(offsets, dtype=np.uint64),
-    )
-    return tag_with_classes(base, kind)
 
 
 def image_stream(spec: ImageSpec, masters: Masters = master_window) -> np.ndarray:

@@ -95,12 +95,11 @@ def update_pool_grains(
 
 
 def private_grains(
-    image_seed: int, region: str, count: int, *, kind: PoolKind, start: int = 0
+    image_seed: int, region: str, offsets: np.ndarray, *, kind: PoolKind
 ) -> np.ndarray:
-    """Grain IDs unique to one image's ``region`` (never shared)."""
-    if count <= 0:
-        return np.empty(0, dtype=np.uint64)
+    """Grain IDs unique to one image's ``region`` (never shared), keyed by
+    position so overlapping reads of one region agree."""
+    offs = np.asarray(offsets, dtype=np.uint64)
     seed = derive_seed("private", image_seed, region)
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    base = mix64_pair(np.full(count, seed, dtype=np.uint64), idx)
+    base = mix64_pair(np.full(offs.shape, seed, dtype=np.uint64), offs)
     return tag_with_classes(base, kind)

@@ -624,6 +624,7 @@ def register_churn(
         # heartbeat horizon: registrations + downtime all land inside it
         obs_runtime.set_fraction(lambda: min(1.0, engine.now / horizon_s))
         engine.run()
+    squirrel.cluster.storage.gluster.verify_served_accounting()
     timed.tracer.close_open_spans()
     if trace_path is not None:
         write_chrome_trace(trace_path, {"churn": timed.tracer})

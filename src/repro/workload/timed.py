@@ -43,6 +43,7 @@ from operator import attrgetter, itemgetter, methodcaller
 from typing import Callable
 
 from ..boot.backends import ZfsCostModel
+from ..common.errors import ConfigError
 from ..common.hashing import derive_seed
 from ..core import Squirrel
 from ..core.squirrel import (
@@ -55,7 +56,6 @@ from ..disk import DAS4_RAID0, DiskModel, TimedDisk
 from ..faults import FaultInjector
 from ..metrics import MetricsRegistry
 from ..obs import BootAttribution, SpanTracer
-from ..placement import TRANSPORT_NAMES
 from ..sim import Engine, Event, Interrupted, Pipe, Resource, Timeline
 from ..vmi import LazyImageCatalog
 from ..zfs import AdaptiveReplacementCache, ArcStats
@@ -196,7 +196,7 @@ ALWAYS, PLACEMENT, SHARDING, FAULTS = "always", "placement", "sharding", "faults
 NODE, TENANT, SHARD = ("node",), ("tenant",), ("shard",)
 NODE_TIER, NODE_SHARD = ("node", "tier"), ("node", "shard")
 #: the labels a record() call can give, in its keyword order
-_RECORD_LABELS = ("node", "tenant", "shard", "transport")
+_RECORD_LABELS = ("node", "tenant", "shard")
 
 
 def _no_labels(given: tuple) -> tuple:
@@ -388,12 +388,6 @@ INSTRUMENTS: tuple[Instrument, ...] = (
     _count("adopted_bytes", "placement_adopted_bytes_total", (),
            "Paper-scale bytes installed by adoptions",
            timeline=None, gate=PLACEMENT, scaled=True),
-    # paper-scale payload x online holders; the Timeline's receiver bytes
-    # count every receiver of the round, in scaled units
-    _count("seed_bytes", "placement_seed_bytes_total", ("transport",),
-           "Paper-scale receiver-ingress bytes moved by seeding",
-           timeline=None, gate=PLACEMENT),
-    _count("seed_receiver_bytes", gate=PLACEMENT),
     # -- faults ------------------------------------------------------------------------
     *(
         _count(fact, "faults_injected_total", ("kind",), "Faults fired by kind",
@@ -618,7 +612,6 @@ class TimedSquirrel:
             "node": names[:METRICS_NODE_DETAIL],
             "tenant": list(self._tenant_ids),
             "shard": list(self.squirrel.cvolume.plan.names),
-            "transport": list(TRANSPORT_NAMES),
             "pool": [cluster.storage.pool.name],
             "storage": list(self.brick),
         }
@@ -703,14 +696,13 @@ class TimedSquirrel:
             yield {**fixed, **dict(zip(free, combo))}
 
     def record(self, fact: str, n: float = 1, *, node: str | None = None,
-               tenant: int | None = None, shard: str | None = None,
-               transport: str | None = None) -> None:
+               tenant: int | None = None, shard: str | None = None) -> None:
         """Record ``n`` of one fact on every sink its table rows bind: the
         Timeline counter and the labelled metric child, with node and
         tenant labels folded past the detail cap. A row needing a label the
         call leaves unset (a boot with no tenant) is skipped; a fact of a
         gate that is not attached records nothing."""
-        given = (node, tenant, shard, transport)
+        given = (node, tenant, shard)
         for key, family, fixed, free, scaled, pick, children in self._sinks[fact]:
             if key is not None:
                 self.timeline.count(key, n)
@@ -1083,7 +1075,17 @@ class TimedSquirrel:
         return event
 
     def register(self, spec):
-        """One timed registration; observes ``register_latency_s``."""
+        """One timed registration; observes ``register_latency_s``.
+
+        Only the paper's path is modelled: the snapshot diff is multicast
+        to every online node. Under a placement coordinator a registration
+        seeds the policy's holders instead, so it is rejected; storms
+        register their catalogue untimed, before the clock starts.
+        """
+        if self.squirrel.placement is not None:
+            raise ConfigError(
+                "timed registration under partial placement is not modelled"
+            )
         return self.engine.process(
             self._register(spec), label=f"register:{spec.image_id}"
         )
@@ -1104,69 +1106,20 @@ class TimedSquirrel:
         evicted = cvolume.scvol.evictions(shard) - ev0
         if evicted:
             self.record("shard_quota_evictions", evicted)
-        placement = self.squirrel.placement
-        if placement is not None and placement.last_seed is not None:
-            yield from self._seed_flows(spec, placement, span)
-        else:
-            # multicast: the diff crosses the primary's uplink once and
-            # lands on every online node's NIC concurrently
-            diff = int(self.scale_up(record.diff_bytes))
-            primary = self.squirrel.cluster.storage.primary.name
-            transfers = [self.brick[primary].transfer(diff)]
-            transfers += [
-                self.nic[node.name].transfer(diff)
-                for node in self.squirrel.cluster.online_nodes()
-            ]
-            yield engine.all_of(transfers)
-        span.end(diff_bytes=int(self.scale_up(record.diff_bytes)))
+        # multicast: the diff crosses the primary's uplink once and lands
+        # on every online node's NIC concurrently
+        diff = int(self.scale_up(record.diff_bytes))
+        primary = self.squirrel.cluster.storage.primary.name
+        transfers = [self.brick[primary].transfer(diff)]
+        transfers += [
+            self.nic[node.name].transfer(diff)
+            for node in self.squirrel.cluster.online_nodes()
+        ]
+        yield engine.all_of(transfers)
+        span.end(diff_bytes=diff)
         self.record("registrations")
         self.observe("register_latency_s", engine.now - t0)
         return record
-
-    def _seed_flows(self, spec, placement, parent_span):
-        """Drive one seeding round through the contended links.
-
-        The accounting call (:meth:`PlacementCoordinator.seed_image`) already
-        ran inside ``Squirrel.register``; this charges its bytes to the
-        pipes, shaped like the transport: the origin's brick uplink carries
-        the transport's origin bytes (n copies for unicast, ~1 for
-        multicast, ~log n for swarm), every online holder's NIC ingests one
-        payload, and swarm holders additionally upload their peer share.
-        """
-        seed = placement.last_seed
-        cluster = self.squirrel.cluster
-        holders = [
-            name
-            for name in placement.directory.holders(spec.image_id)
-            if cluster.node(name).online
-        ]
-        payload = int(self.scale_up(seed.n_bytes))
-        span = self.tracer.span(
-            f"seed.{seed.transport}", parent=parent_span, track="control",
-            image_id=spec.image_id, n_receivers=len(holders),
-            n_bytes=payload,
-        )
-        if holders:
-            primary = cluster.storage.primary.name
-            origin_bytes = int(self.scale_up(seed.origin_bytes))
-            transfers = []
-            if origin_bytes > 0:
-                transfers.append(self.brick[primary].transfer(origin_bytes))
-            upload_share = (
-                int(self.scale_up(seed.peer_upload_bytes)) // len(holders)
-                if seed.peer_upload_bytes > 0
-                else 0
-            )
-            for name in holders:
-                transfers.append(self.nic[name].transfer(payload))
-                if upload_share > 0:
-                    transfers.append(self.nic[name].transfer(upload_share))
-            yield self.engine.all_of(transfers)
-            self.record(
-                "seed_bytes", payload * len(holders), transport=seed.transport
-            )
-            self.record("seed_receiver_bytes", seed.receiver_bytes)
-        span.end()
 
     def resync(self, node_name: str):
         """One timed offline-propagation catch-up; observes

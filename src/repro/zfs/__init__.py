@@ -17,7 +17,7 @@ from .blockptr import HOLE, BlockPointer, virtual_checksum_key
 from .dataset import Dataset, Snapshot
 from .ddt import DDT_ENTRY_CORE_BYTES, DDT_ENTRY_DISK_BYTES, DDTEntry, DedupTable
 from .dmu import FileObject
-from .pool import PoolStats, ZPool
+from .pool import ZPool
 from .scrub import ScrubReport, scrub
 from .send import RecordKind, SendRecord, SendStream, generate_send, receive
 from .sharded import ShardedPool
@@ -36,7 +36,6 @@ __all__ = [
     "Dataset",
     "DedupTable",
     "FileObject",
-    "PoolStats",
     "RecordKind",
     "ScrubReport",
     "SendRecord",

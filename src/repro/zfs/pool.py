@@ -11,8 +11,6 @@ node are properties here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..common.errors import ObjectNotFoundError, StorageError
 from ..common.units import GiB, SQUIRREL_BLOCK_SIZE
 from .arc import AdaptiveReplacementCache
@@ -21,26 +19,7 @@ from .ddt import DedupTable
 from .spa import SpaceMap
 from .zio import ZioPipeline
 
-__all__ = ["ZPool", "PoolStats"]
-
-
-@dataclass(frozen=True)
-class PoolStats:
-    """Point-in-time resource snapshot of a pool."""
-
-    data_bytes: int  #: allocated block data (after dedup + compression)
-    ddt_disk_bytes: int
-    ddt_core_bytes: int
-    arc_bytes: int
-    ddt_entries: int
-
-    @property
-    def disk_used_bytes(self) -> int:
-        return self.data_bytes + self.ddt_disk_bytes
-
-    @property
-    def memory_used_bytes(self) -> int:
-        return self.ddt_core_bytes + self.arc_bytes
+__all__ = ["ZPool"]
 
 
 class ZPool:
@@ -100,10 +79,6 @@ class ZPool:
         self._txg += 1
         return self._txg
 
-    @property
-    def current_txg(self) -> int:
-        return self._txg
-
     # -- dataset namespace ----------------------------------------------------
 
     def create_dataset(
@@ -150,13 +125,6 @@ class ZPool:
         return self.space.allocated_bytes
 
     @property
-    def ddt_entries_total(self) -> int:
-        """DDT entries across the global domain and every named domain."""
-        return self.ddt.entry_count + sum(
-            ddt.entry_count for ddt, _zio in self._domains.values()
-        )
-
-    @property
     def ddt_core_bytes_total(self) -> int:
         """Resident DDT bytes across all dedup domains."""
         return self.ddt.in_core_bytes + sum(
@@ -178,15 +146,6 @@ class ZPool:
     def memory_used_bytes(self) -> int:
         return self.ddt_core_bytes_total + self.arc.resident_bytes
 
-    def stats(self) -> PoolStats:
-        return PoolStats(
-            data_bytes=self.data_bytes,
-            ddt_disk_bytes=self.ddt_disk_bytes_total,
-            ddt_core_bytes=self.ddt_core_bytes_total,
-            arc_bytes=self.arc.resident_bytes,
-            ddt_entries=self.ddt_entries_total,
-        )
-
     def dedup_ratio(self) -> float:
         if not self._domains:
             return self.ddt.dedup_ratio()
@@ -197,25 +156,3 @@ class ZPool:
             ddt.allocated_psize for ddt, _zio in self._domains.values()
         )
         return referenced / allocated if allocated else 1.0
-
-    def describe(self) -> str:
-        """``zfs list``-style report of the pool and its datasets."""
-        from ..common.units import format_bytes
-
-        lines = [
-            f"pool {self.name}: {format_bytes(self.disk_used_bytes)} used "
-            f"({format_bytes(self.data_bytes)} data + "
-            f"{format_bytes(self.ddt_disk_bytes_total)} DDT), "
-            f"{format_bytes(self.memory_used_bytes)} in core, "
-            f"dedup {self.dedup_ratio():.2f}x",
-            f"{'NAME':<24}{'FILES':>7}{'SNAPS':>7}{'REFER':>12}{'LSIZE':>12}",
-        ]
-        for name in self.dataset_names():
-            dataset = self.dataset(name)
-            lines.append(
-                f"{name:<24}{len(dataset.file_names()):>7}"
-                f"{len(dataset.snapshots()):>7}"
-                f"{format_bytes(dataset.referenced_psize):>12}"
-                f"{format_bytes(dataset.logical_size):>12}"
-            )
-        return "\n".join(lines)

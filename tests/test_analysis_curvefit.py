@@ -11,9 +11,11 @@ from repro.analysis import (
     fit_linear,
     fit_mmf,
     rmse,
-    select_best_curve,
 )
 from repro.common.errors import FitError
+from repro.experiments.fits import select_curve
+
+BLOCK = 64 * 1024
 
 
 class TestLinear:
@@ -72,12 +74,14 @@ class TestHoerl:
 
 
 class TestSelection:
+    """Section 4.3.2's selection protocol, as Figures 14-17 run it."""
+
     def test_linear_wins_on_linear_data(self):
         """Table 3's situation: disk consumption is linear in cache count."""
         rng = np.random.default_rng(1)
         x = np.arange(1, 400, dtype=float)
         y = 2.0 + 0.03 * x + rng.normal(0, 0.02, x.size)
-        selection = select_best_curve(x, y)
+        selection = select_curve(BLOCK, x, y)
         assert selection.winner_name == "linear"
 
     def test_mmf_wins_on_saturating_data(self):
@@ -85,13 +89,13 @@ class TestSelection:
         rng = np.random.default_rng(2)
         x = np.arange(1, 400, dtype=float)
         y = 120 * x / (x + 60) + rng.normal(0, 0.3, x.size)
-        selection = select_best_curve(x, y)
+        selection = select_curve(BLOCK, x, y)
         assert selection.winner_name == "MMF"
 
     def test_all_candidates_scored(self):
         x = np.arange(1, 100, dtype=float)
         y = 1.0 + 0.1 * x
-        selection = select_best_curve(x, y)
+        selection = select_curve(BLOCK, x, y)
         assert set(selection.rmse_all) == {"linear", "MMF", "hoerl"}
 
     def test_winner_refit_on_all_points(self):
@@ -100,8 +104,8 @@ class TestSelection:
         rng = np.random.default_rng(3)
         x = np.arange(1, 200, dtype=float)
         y = 5 + 0.2 * x + rng.normal(0, 1.0, x.size)
-        selection = select_best_curve(x, y)
-        refit_err = rmse(selection.winner, x, y)
+        selection = select_curve(BLOCK, x, y)
+        refit_err = rmse(selection.winner_full_fit, x, y)
         half_err = rmse(selection.half_fits[selection.winner_name], x, y)
         assert refit_err <= half_err + 1e-9
 

@@ -83,23 +83,3 @@ class TestFormatBytes:
     def test_terabytes(self):
         # the paper's headline raw dataset size
         assert units.format_bytes(16.4 * units.TiB) == "16.4 TB"
-
-
-class TestParseSize:
-    @pytest.mark.parametrize(
-        ("text", "expected"),
-        [
-            ("64K", 64 * units.KiB),
-            ("64 KB", 64 * units.KiB),
-            ("10GB", 10 * units.GiB),
-            ("512", 512),
-            ("1 TiB", units.TiB),
-        ],
-    )
-    def test_parses(self, text, expected):
-        assert units.parse_size(text) == expected
-
-    @pytest.mark.parametrize("text", ["", "GB", "12XB"])
-    def test_rejects_garbage(self, text):
-        with pytest.raises(ValueError):
-            units.parse_size(text)

@@ -12,10 +12,12 @@ from repro.net import GlusterVolume, Node, NodeKind, TransferLedger
 from repro.sim import Engine, Interrupted, Pipe, Resource, Timeline
 from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from repro.workload import (
+    ChurnConfig,
     DayConfig,
     StormConfig,
     TimedSquirrel,
     boot_storm,
+    register_churn,
     steady_state_day,
 )
 
@@ -426,8 +428,8 @@ class TestFaultedStorm:
 
 
 class TestServedAccountingOnTimedRuns:
-    """Each storm side and the day run cross-check the bricks' served
-    tallies against the ledger once the engine drains."""
+    """Each storm side, the day run and the churn run cross-check the
+    bricks' served tallies against the ledger once the engine drains."""
 
     @staticmethod
     def day():
@@ -445,14 +447,27 @@ class TestServedAccountingOnTimedRuns:
             faults=FaultPlan.parse("crash:compute1@5+30,brick:storage0@2+20")
         ))
 
-    @pytest.mark.parametrize("run", ["storm", "day"])
+    @staticmethod
+    def churn():
+        # the brick is down for the first four of the day's eight
+        # registration-boot reads, up for the last four
+        return register_churn(
+            ChurnConfig(
+                n_nodes=4, horizon_days=1.0, registrations_per_day=8.0,
+                scale=1 / 1024,
+                faults=FaultPlan.parse("brick:storage0@600+43200"),
+            )
+        )
+
+    @pytest.mark.parametrize("run", ["storm", "day", "churn"])
     def test_faulted_runs_pass(self, run):
         getattr(self, run)()
 
-    @pytest.mark.parametrize("run", ["storm", "day"])
+    @pytest.mark.parametrize("run", ["storm", "day", "churn"])
     def test_stray_read_record_trips_the_check(self, run, monkeypatch):
         # every brick read also books one byte nobody served, under the
-        # read's own purpose (boot-read on a cold boot)
+        # read's own purpose (boot-read on a cold boot, registration-boot
+        # on a registration)
         real = GlusterVolume.read_with_plan
 
         def drifting(volume, name, offset, length, *, reader, purpose="boot-read"):

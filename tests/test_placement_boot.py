@@ -17,20 +17,32 @@ from repro.placement import (
     PlacementContext,
     PlacementSpec,
     build_coordinator,
-    zipf_weights,
 )
+from repro.net import GBE_1
 from repro.shard import ShardRouter, build_plan
 from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
+from repro.workload.rig import _build_rig
 
 SCALE = 1 / 1024
 BLOCK = 65536
 N_COMPUTE = 6
 N_IMAGES = 4
+#: Zipf(1) over the four images, image 0 hottest
+POPULARITY = (0.48, 0.24, 0.16, 0.12)
 
 
 @pytest.fixture(scope="module")
 def dataset():
     return LazyImageCatalog(DatasetConfig(scale=SCALE))
+
+
+def coordinator_for(cluster, spec=None):
+    spec = spec or PlacementSpec(policy="top_k", top_k=1, replica_floor=2)
+    context = PlacementContext(
+        nodes=tuple(node.name for node in cluster.compute),
+        popularity=POPULARITY,
+    )
+    return build_coordinator(spec, cluster, context)
 
 
 def make_rig(dataset, spec=None):
@@ -39,12 +51,7 @@ def make_rig(dataset, spec=None):
     )
     estimator = make_estimator("gzip6", (BLOCK,), samples_per_point=2)
     squirrel = Squirrel(cluster=cluster, estimator=estimator)
-    spec = spec or PlacementSpec(policy="top_k", top_k=1, replica_floor=2)
-    context = PlacementContext(
-        nodes=tuple(node.name for node in cluster.compute),
-        popularity=tuple(float(w) for w in zipf_weights(N_IMAGES, 1.0)),
-    )
-    squirrel.placement = build_coordinator(spec, cluster, context)
+    squirrel.placement = coordinator_for(cluster, spec)
     return squirrel
 
 
@@ -269,3 +276,18 @@ class TestShardingGuard:
         plan = build_plan(dataset.specs[:N_IMAGES], 2, "similarity")
         with pytest.raises(ConfigError, match="cannot be combined"):
             ShardRouter(plan).install(squirrel)
+
+
+class TestTimedRegistration:
+    def test_timed_register_under_placement_is_rejected(self, dataset):
+        """The timed rig models the paper's fleet-wide multicast only: a
+        timed registration under a coordinator would charge a multicast
+        that never happened, so it is refused before anything runs."""
+        rig = _build_rig(
+            n_compute=N_COMPUTE, n_storage=4, block_size=BLOCK, scale=SCALE,
+            link=GBE_1, seed=0, trace=False, dataset=dataset,
+            placement_factory=lambda squirrel: coordinator_for(squirrel.cluster),
+        )
+        with pytest.raises(ConfigError, match="not modelled"):
+            rig.timed.register(dataset.specs[0])
+        assert rig.squirrel.registrations == []

@@ -11,10 +11,7 @@ from repro.placement import (
     TenantAffinePolicy,
     TopKPolicy,
     ZipfWeightedPolicy,
-    fleet_popularity,
     make_policy,
-    observed_popularity,
-    zipf_weights,
 )
 
 NODES = tuple(f"compute{i}" for i in range(8))
@@ -30,23 +27,9 @@ def ctx(popularity, nodes=NODES, owners=(), tenant_weights=()):
 
 
 def skewed(n=12, exponent=1.0):
-    return tuple(float(w) for w in zipf_weights(n, exponent))
-
-
-class TestPopularity:
-    def test_zipf_weights_sum_to_one(self):
-        weights = zipf_weights(10, 0.9)
-        assert abs(sum(weights) - 1.0) < 1e-12
-        assert all(a >= b for a, b in zip(weights, weights[1:]))
-
-    def test_observed_counts_normalise(self):
-        pmf = observed_popularity([3, 1, 0])
-        assert abs(sum(pmf) - 1.0) < 1e-12
-        assert pmf[0] == pytest.approx(0.75)
-
-    def test_observed_all_zero_is_uniform(self):
-        pmf = observed_popularity([0, 0, 0, 0])
-        assert all(p == pytest.approx(0.25) for p in pmf)
+    """Zipf(``exponent``) pmf over ``n`` images, image 0 hottest."""
+    raw = [rank**-exponent for rank in range(1, n + 1)]
+    return tuple(w / sum(raw) for w in raw)
 
 
 class TestFull:
@@ -141,9 +124,10 @@ class TestMakePolicy:
 
 class TestFleetPopularity:
     def test_matches_tenant_population_mixture(self):
+        """The pmf storms place by (``placement_context`` reads it)."""
         from repro.workload import TenantPopulation
 
         population = TenantPopulation(4, 10, seed=7, zipf_exponent=0.9)
-        pmf = fleet_popularity(population)
+        pmf = population.expected_popularity()
         assert abs(sum(pmf) - 1.0) < 1e-9
         assert len(pmf) == 10

@@ -78,19 +78,21 @@ class TestPackagePool:
 
 class TestPrivateGrains:
     def test_distinct_images_disjoint(self):
-        a = private_grains(1, "user", 10_000, kind=PoolKind.USER)
-        b = private_grains(2, "user", 10_000, kind=PoolKind.USER)
+        offs = np.arange(10_000)
+        a = private_grains(1, "user", offs, kind=PoolKind.USER)
+        b = private_grains(2, "user", offs, kind=PoolKind.USER)
         assert not np.intersect1d(a, b).size
 
     def test_distinct_regions_disjoint(self):
-        a = private_grains(1, "user", 10_000, kind=PoolKind.USER)
-        b = private_grains(1, "boot-mut", 10_000, kind=PoolKind.BOOT)
+        offs = np.arange(10_000)
+        a = private_grains(1, "user", offs, kind=PoolKind.USER)
+        b = private_grains(1, "boot-mut", offs, kind=PoolKind.BOOT)
         assert not np.intersect1d(a, b).size
 
     def test_start_offset_windows(self):
-        whole = private_grains(1, "user", 100, kind=PoolKind.USER)
-        tail = private_grains(1, "user", 50, kind=PoolKind.USER, start=50)
+        whole = private_grains(1, "user", np.arange(100), kind=PoolKind.USER)
+        tail = private_grains(1, "user", np.arange(50, 100), kind=PoolKind.USER)
         assert np.array_equal(whole[50:], tail)
 
     def test_empty(self):
-        assert private_grains(1, "user", 0, kind=PoolKind.USER).size == 0
+        assert private_grains(1, "user", np.arange(0), kind=PoolKind.USER).size == 0

@@ -107,11 +107,12 @@ class TestVirtualPipeline:
 class TestAccounting:
     def test_stats_snapshot(self, ds, pool):
         write(ds, "f", 0, 1)
-        stats = pool.stats()
-        assert stats.data_bytes == pool.data_bytes
-        assert stats.ddt_entries == 1
-        assert stats.disk_used_bytes == stats.data_bytes + stats.ddt_disk_bytes
-        assert stats.memory_used_bytes == stats.ddt_core_bytes + stats.arc_bytes
+        assert pool.data_bytes == pool.space.allocated_bytes
+        assert pool.ddt.entry_count == 1
+        assert pool.disk_used_bytes == pool.data_bytes + pool.ddt_disk_bytes_total
+        assert pool.memory_used_bytes == (
+            pool.ddt_core_bytes_total + pool.arc.resident_bytes
+        )
 
     def test_free_on_overwrite(self, ds, pool):
         write(ds, "f", 0, 1)
