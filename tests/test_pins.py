@@ -58,7 +58,7 @@ CASES = {
             "placement", policy="top_k", nodes=8, vms_per_node=4,
             adopt_budget_mb=64, faults="crash:compute1@5+30",
         ),
-        "d3a34b9b3b3ae4feff3ce876b0b586e15d78fb9851e81cbc6627bde7be1c4fa0",
+        "610f1310c2a7e3a4617adfe58190c1604237b373189ca4910d9dbf8115b2a4ea",
     ),
     "placement-full": (
         lambda: _run("placement", policy="full", nodes=8, vms_per_node=4),
