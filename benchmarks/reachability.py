@@ -162,9 +162,19 @@ def _split(command: str, tmp: str) -> tuple[list[str], str | None, bool]:
     return argv, None, must_fail
 
 
-def run_probe(
-    commands=COMMANDS, examples=EXAMPLES
-) -> tuple[set[tuple[str, int]], list[str], float]:
+def _exit_status(call) -> int | str | None:
+    """``call()``'s exit status (``None`` when it returns no int), or the
+    exception it raised: the probe reports a failing command and goes on."""
+    try:
+        status = call()
+    except SystemExit as exit_:
+        return exit_.code
+    except Exception as error:
+        return f"{type(error).__name__}: {error}"
+    return status if isinstance(status, int) else None
+
+
+def run_probe(commands, examples) -> tuple[set[tuple[str, int]], list[str], float]:
     """Run ``commands`` and ``examples`` under the trace hook.
 
     Returns the ``(file, first line)`` of every code object entered, the
@@ -181,7 +191,8 @@ def run_probe(
     failed: list[str] = []
     started = time.perf_counter()
     saved_argv = sys.argv
-    with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="reachability-") as tmp, \
+            contextlib.redirect_stderr(io.StringIO()):
         sys.settrace(hook)
         threading.settrace(hook)
         try:
@@ -190,28 +201,19 @@ def run_probe(
             for command in commands:
                 argv, stdout_to, must_fail = _split(command, tmp)
                 sink = open(stdout_to, "w") if stdout_to else io.StringIO()
-                try:
-                    with sink, contextlib.redirect_stdout(sink), \
-                            contextlib.redirect_stderr(io.StringIO()):
-                        status = main(argv)
-                except SystemExit as exit_:
-                    status = exit_.code
-                except Exception as error:  # noqa: BLE001 - reported, not raised
-                    status = f"{type(error).__name__}: {error}"
+                with sink, contextlib.redirect_stdout(sink):
+                    status = _exit_status(lambda: main(argv))
                 if (status in (0, None)) == must_fail:
                     failed.append(f"{command} -> {status}")
             for name in examples:
-                path = REPO / "examples" / name
-                sys.argv = [str(path)]
-                try:
-                    with contextlib.redirect_stdout(io.StringIO()), \
-                            contextlib.redirect_stderr(io.StringIO()):
-                        runpy.run_path(str(path), run_name="__main__")
-                except SystemExit as exit_:
-                    if exit_.code not in (0, None):
-                        failed.append(f"examples/{name} -> {exit_.code}")
-                except Exception as error:  # noqa: BLE001
-                    failed.append(f"examples/{name} -> {type(error).__name__}")
+                path = str(REPO / "examples" / name)
+                sys.argv = [path]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    status = _exit_status(
+                        lambda: runpy.run_path(path, run_name="__main__")
+                    )
+                if status not in (0, None):
+                    failed.append(f"examples/{name} -> {status}")
         finally:
             sys.settrace(None)
             threading.settrace(None)
@@ -223,9 +225,7 @@ def run_probe(
     return reached, failed, time.perf_counter() - started
 
 
-def unreached_report(
-    reached, *, commands=COMMANDS, examples=EXAMPLES, failed=(), wall_s=None
-) -> str:
+def unreached_report(reached, commands, examples, failed, wall_s) -> str:
     """The probe's text report: header, totals, one line per unreached
     function (body lines, then ``path::qualname``)."""
     functions = source_functions()
@@ -244,9 +244,8 @@ def unreached_report(
         "# examples:",
         *(f"#   examples/{name}" for name in examples),
         f"# failed: {'; '.join(failed) if failed else 'none'}",
+        f"# probe wall: {wall_s:.0f} s",
     ]
-    if wall_s is not None:
-        header.append(f"# probe wall: {wall_s:.0f} s")
     summary = (
         f"unreached {len(missing)} of {len(functions)} functions "
         f"({missing_lines} of {total_lines} body lines)"
@@ -274,10 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out.resolve()
     os.chdir(REPO)  # commands name repo files (slo/storm.toml) relatively
     reached, failed, wall_s = run_probe(commands, examples)
-    report = unreached_report(
-        reached, commands=commands, examples=examples, failed=failed,
-        wall_s=wall_s,
-    )
+    report = unreached_report(reached, commands, examples, failed, wall_s)
     out.write_text(report)
     print(next(line for line in report.splitlines() if line.startswith("unreached")))
     return 1 if failed else 0
