@@ -7,9 +7,9 @@ a single recorded byte fails here. The cases cover the instrumented
 surfaces between them: placement redirects, adoptions and reseeds under a
 crash; full-replication placement and the one-shard storm (the two
 byte-identity anchors of the storm); the faulted storm; the diurnal day;
-the node-detail cap's ``_other``/``_fleet`` children; registration churn
-under every fault kind (including a skipped overlap); and the sharded
-storm.
+the node-detail cap's ``_other``/``_fleet`` children, unsharded and
+(under a crash) sharded; registration churn under every fault kind
+(including a skipped overlap); and the sharded storm.
 
 The trace pin hashes the Chrome trace of a placement storm under a peer
 crash and a brick failure: the span args (``replica``, ``degraded``,
@@ -75,6 +75,15 @@ CASES = {
     "capped-storm": (
         lambda: _run("storm", nodes=METRICS_NODE_DETAIL + 6, vms_per_node=1),
         "73eeba10c1a3b6767a077a02c0202eef078da67aaf0a0bd3cd021a90bd838368",
+    ),
+    # past the detail cap on a sharded rig: the per-shard "_fleet" gauges,
+    # and a crash that wipes every ARC slice of its node
+    "capped-shards": (
+        lambda: _run(
+            "shards", nodes=METRICS_NODE_DETAIL + 6, vms_per_node=1,
+            shards=2, faults="crash:compute1@5+30",
+        ),
+        "be2e04c71b6e9dad96f482f64737bc2570b46a060f80cfc9986fef3b68cdf75e",
     ),
     "churn": (
         lambda: _run("churn", nodes=4, days=4.0, faults=CHURN_FAULTS),
