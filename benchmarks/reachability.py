@@ -67,6 +67,8 @@ COMMANDS = (
     "--transport multicast",
     "shards --nodes 8 --vms-per-node 2 --shards 2 --faults brick:storage0@3+15",
     "shards --nodes 8 --vms-per-node 2 --shards 2 --grouping similarity",
+    # past the 64-node metric detail cap: the "_fleet" gauges, sharded
+    "shards --nodes 70 --vms-per-node 1 --shards 2 --faults crash:compute1@5+30",
     "day --nodes 4 --boots 40 --tenants 4 --faults crash:compute1@600+900",
     "churn --nodes 4 --days 1",
     'sweep churn --grid "seed=0,1" --set days=0.5 --workers 1 '

@@ -18,7 +18,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["Report", "ReportBase", "to_jsonable", "dumps_canonical"]
+__all__ = ["Report", "ReportBase", "to_jsonable", "dumps_canonical", "lookup_path"]
 
 
 #: exact scalar types the fast path of :func:`to_jsonable` passes through;
@@ -76,6 +76,18 @@ def dumps_canonical(obj: Any) -> str:
     makes "``--workers N`` output is byte-identical to ``--workers 1``" a
     checkable contract rather than an accident."""
     return json.dumps(to_jsonable(obj), sort_keys=True)
+
+
+def lookup_path(payload: Any, path: str) -> Any:
+    """Resolve a dotted path (``report.squirrel.boots``) inside nested
+    dicts; None when any part is absent. Sweep metrics, sweep summaries
+    and SLO rules all address results this way."""
+    node = payload
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return None
+        node = node[part]
+    return node
 
 
 class ReportBase:

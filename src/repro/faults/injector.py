@@ -111,8 +111,10 @@ class FaultInjector:
         node = timed.squirrel.cluster.node(fault.target)
         node.online = False
         timed.nic[fault.target].block()
-        # the reboot loses the node's in-memory ARC along with the boots
-        timed.arc[fault.target].clear()
+        # the reboot loses the node's in-memory ARC (every shard slice)
+        # along with the boots
+        for arc in timed.arcs[fault.target].values():
+            arc.clear()
         # preempt every boot in flight on the dead host; each retries after
         # the rejoin event (and cancels its own half-done transfers)
         preempted = 0

@@ -21,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from ..common.errors import ConfigError
+from ..common.report import lookup_path
 from ..metrics import collect_metric_blocks
 from .spec import SLORule, SLOSpec
 
@@ -50,16 +51,6 @@ class Verdict:
         suffix = f" [{self.source}]" if self.source else ""
         note = "" if self.n else " (no value matched)"
         return f"{status} {label} (n={self.n}){note}{suffix}"
-
-
-def _lookup(payload: Any, path: str) -> Any:
-    """Resolve a dotted path inside nested dicts (None when absent)."""
-    node = payload
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node
 
 
 def _parse_selector(selector: str) -> tuple[str, dict[str, str]]:
@@ -130,7 +121,7 @@ def resolve_metric(payload: Any, rule: SLORule) -> list[tuple[str, float]]:
     """
     if "{" in rule.metric:
         return _instrument_values(payload, rule)
-    direct = _numeric(_lookup(payload, rule.metric))
+    direct = _numeric(lookup_path(payload, rule.metric))
     if direct is not None:
         return [(rule.metric, direct)]
     if "." not in rule.metric:
@@ -142,7 +133,7 @@ def resolve_metric(payload: Any, rule: SLORule) -> list[tuple[str, float]]:
     if isinstance(points, (list, tuple)):
         for index, point in enumerate(points):
             result = point.get("result") if isinstance(point, dict) else None
-            value = _numeric(_lookup(result, rule.metric))
+            value = _numeric(lookup_path(result, rule.metric))
             if value is not None:
                 found.append((f"points.{index}.result.{rule.metric}", value))
     return found

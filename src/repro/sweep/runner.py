@@ -37,7 +37,7 @@ import json
 import numpy as np
 
 from ..common.errors import ConfigError
-from ..common.report import ReportBase, dumps_canonical, to_jsonable
+from ..common.report import ReportBase, dumps_canonical, lookup_path, to_jsonable
 from ..experiments import ExperimentContext, registry
 from ..experiments.context import _shared_context, scale_of
 from ..obs import runtime as obs_runtime
@@ -140,16 +140,6 @@ def _group_label(point_params: dict, axes: list[str]) -> str:
     return " ".join(parts) if parts else "all"
 
 
-def _lookup(payload: Any, path: str) -> Any:
-    """Resolve a dotted metric path inside a result dict (None if absent)."""
-    node = payload
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node
-
-
 def _aggregate(
     spec: SweepSpec, points: tuple[SweepPoint, ...], results: dict[int, dict]
 ) -> dict:
@@ -160,7 +150,7 @@ def _aggregate(
     for metric in exp.metrics:
         groups: dict[str, list[float]] = {}
         for point in points:
-            value = _lookup(results[point.index], metric)
+            value = lookup_path(results[point.index], metric)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
             label = _group_label(dict(point.requested), axes)

@@ -8,7 +8,8 @@ the paper's own multi-seed numbers are quoted in.
 
 from __future__ import annotations
 
-from .runner import SweepResult, _lookup
+from ..common.report import lookup_path
+from .runner import SweepResult
 
 __all__ = ["render_sweep"]
 
@@ -64,7 +65,7 @@ def render_sweep(result: SweepResult, *, metrics: tuple[str, ...]) -> str:
     rows = []
     for point in result.points:
         row = [_format(point["params"][axis]) for axis in axes]
-        row += [_format(_lookup(point["result"], metric)) for metric in metrics]
+        row += [_format(lookup_path(point["result"], metric)) for metric in metrics]
         rows.append(row)
     lines.append(_table(headers, rows))
     if result.summary:

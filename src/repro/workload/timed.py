@@ -26,11 +26,13 @@ to rejoin (offline catch-up included), retry, and **always complete**.
 Observability: every boot opens a root span on a :class:`~repro.obs.
 SpanTracer` with children for the ARC lookup, DDT/zio work, glusterfs
 transfers (tagged with the chosen replica and degraded state), NIC transfer
-and disk reads/writes; faults annotate the spans they kill. Each node runs
-an in-memory :class:`~repro.zfs.AdaptiveReplacementCache` over its cVolume
-blocks (a node crash wipes it), and every elapsed second of every boot is
-charged to exactly one of ``cache_s`` / ``net_s`` / ``disk_s`` / ``wait_s``
-(see :mod:`repro.obs.attribution`).
+and disk reads/writes; faults annotate the spans they kill. Each node's
+in-memory ARC over its cVolume blocks is one
+:class:`~repro.zfs.AdaptiveReplacementCache` slice per shard (one shard: one
+slice); a warm read looks up its image's slice only, the per-node gauges sum
+the slices, and a node crash wipes them all. Every elapsed second of every
+boot is charged to exactly one of ``cache_s`` / ``net_s`` / ``disk_s`` /
+``wait_s`` (see :mod:`repro.obs.attribution`).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from ..metrics import MetricsRegistry
 from ..obs import BootAttribution, SpanTracer
 from ..sim import Engine, Event, Interrupted, Pipe, Resource, Timeline
 from ..vmi import LazyImageCatalog
-from ..zfs import AdaptiveReplacementCache, ArcStats
+from ..zfs import AdaptiveReplacementCache
 from .arrivals import DAY_S
 
 __all__ = ["INSTRUMENTS", "Instrument", "TimedSquirrel"]
@@ -133,51 +135,35 @@ class _BootTrace:
         self.open_spans.clear()
 
 
-class _ShardedNodeArc:
-    """A node's boot ARC partitioned by shard: one independent
-    :class:`~repro.zfs.AdaptiveReplacementCache` per shard, keyed through the
-    shard plan. This is the RAM half of noisy-neighbor isolation — a tenant
-    whose images all land in one shard can only thrash that shard's slice.
+def _node_slices(timed, node: str) -> tuple:
+    """A node's ARC slices, one per shard (the per-node gauges' source)."""
+    return tuple(timed.arcs[node].values())
 
-    The aggregate surface (``stats``/``p``/``resident_bytes``/``clear``)
-    matches the plain ARC, so timeline gauges, the ``_fleet`` sweep, and the
-    fault injector's crash-wipe work unchanged."""
 
-    __slots__ = ("plan", "shards")
+def _arc_p(slices) -> int:
+    """A node's ARC target for T1: the sum over its shard slices."""
+    total = 0
+    for arc in slices:
+        total += arc.p
+    return total
 
-    def __init__(self, plan, shards: dict[str, AdaptiveReplacementCache]):
-        self.plan = plan
-        self.shards = shards
 
-    def _arc(self, key) -> AdaptiveReplacementCache:
-        # boot ARC keys are (image_id, block_index); route by image
-        return self.shards[self.plan.shard_of(key[0])]
+def _arc_resident(slices) -> int:
+    """Bytes resident in a node's ARC: the sum over its shard slices."""
+    total = 0
+    for arc in slices:
+        total += arc.resident_bytes
+    return total
 
-    def get(self, key):
-        return self._arc(key).get(key)
 
-    def put(self, key, value, size: int) -> None:
-        self._arc(key).put(key, value, size)
-
-    def clear(self) -> None:
-        for arc in self.shards.values():
-            arc.clear()
-
-    @property
-    def p(self) -> int:
-        return sum(arc.p for arc in self.shards.values())
-
-    @property
-    def resident_bytes(self) -> int:
-        return sum(arc.resident_bytes for arc in self.shards.values())
-
-    @property
-    def stats(self) -> ArcStats:
-        total: dict[str, int] = {}
-        for arc in self.shards.values():
-            for key, value in arc.stats.as_dict().items():
-                total[key] = total.get(key, 0) + value
-        return ArcStats(**total)
+def _arc_hit_rate(slices) -> float:
+    """A node's lifetime ARC hit rate: pooled hits over pooled lookups."""
+    hits = lookups = 0
+    for arc in slices:
+        stats = arc.stats
+        hits += stats.hits
+        lookups += stats.hits + stats.misses
+    return hits / lookups if lookups else 0.0
 
 
 def _node_shard_ddt_core(node, domain: str | None) -> float:
@@ -406,13 +392,13 @@ INSTRUMENTS: tuple[Instrument, ...] = (
     _observe("node_recovery_s", gate=FAULTS),
     # -- gauges: live simulation state read at scrape time -----------------------------
     _gauge("zfs_arc_p_bytes", NODE, "ARC adaptive target for T1 (paper-scale bytes)",
-           source=lambda t, node: t.arc[node], value=attrgetter("p")),
+           source=_node_slices, value=_arc_p),
     _gauge("zfs_arc_resident_bytes", NODE,
            "Bytes resident in the node's boot ARC (paper-scale)",
-           source=lambda t, node: t.arc[node], value=attrgetter("resident_bytes"),
+           source=_node_slices, value=_arc_resident,
            fleet=lambda t: t._fleet_totals()[3]),
     _gauge("zfs_arc_hit_rate", NODE, "Lifetime ARC hit rate",
-           source=lambda t, node: t.arc[node], value=attrgetter("stats.hit_rate")),
+           source=_node_slices, value=_arc_hit_rate),
     *_pool_gauges("zfs_ddt_entries", "Dedup-table entries",
                   "pool.ddt.entry_count", 0),
     *_pool_gauges("zfs_ddt_core_bytes", "DDT resident RAM",
@@ -458,19 +444,19 @@ INSTRUMENTS: tuple[Instrument, ...] = (
                t.squirrel.sharding.tenant_hit_rate, t._tenant_ids[tenant])),
     _gauge("zfs_shard_arc_resident_bytes", NODE_SHARD,
            "Bytes resident in one shard's ARC slice (paper-scale)", gate=SHARDING,
-           source=lambda t, node, shard: t.shard_arcs[node][shard],
+           source=lambda t, node, shard: t.arcs[node][shard],
            value=attrgetter("resident_bytes"),
-           fleet=lambda t, shard: t._shard_fleet_totals()[shard][0]),
+           fleet=lambda t, shard: t._fleet_totals()[4][shard]),
     _gauge("zfs_shard_arc_hit_rate", NODE_SHARD,
            "Lifetime hit rate of one shard's ARC slice", gate=SHARDING,
-           source=lambda t, node, shard: t.shard_arcs[node][shard],
+           source=lambda t, node, shard: t.arcs[node][shard],
            value=attrgetter("stats.hit_rate")),
     _gauge("zfs_shard_node_ddt_core_bytes", NODE_SHARD,
            "Resident DDT bytes of a shard's dedup domain on a node", gate=SHARDING,
            source=lambda t, node, shard: partial(
                _node_shard_ddt_core, t.squirrel.cluster.node(node),
                t.squirrel.cvolume.chains[shard].domain),
-           fleet=lambda t, shard: t._shard_fleet_totals()[shard][1]),
+           fleet=lambda t, shard: t._fleet_totals()[5][shard]),
     # storage-side per-shard families over the scVolume's domains
     _shard_gauge("zfs_shard_ddt_entries",
                  "scVolume DDT entries in one shard's dedup domain",
@@ -554,26 +540,18 @@ class TimedSquirrel:
         #: charged at paper-scale bytes); a node crash wipes it. Each node's
         #: ARC is partitioned per shard (the router's slice when a quota is
         #: set, else an even split of the node budget) so one tenant's churn
-        #: cannot evict another shard's residents. One shard is the plain
-        #: ARC: the hot path routes no block.
+        #: cannot evict another shard's residents; one shard is one slice
+        #: holding the whole budget.
         plan = squirrel.cvolume.plan
         per_shard = getattr(squirrel.sharding, "arc_bytes_per_shard", None)
         per_shard = per_shard or max(1, ARC_BYTES_PER_NODE // plan.n_shards)
-        #: node name -> shard -> that shard's ARC slice
-        self.shard_arcs: dict[str, dict[str, AdaptiveReplacementCache]] = {
+        #: node name -> shard -> that shard's slice of the node's ARC
+        self.arcs: dict[str, dict[str, AdaptiveReplacementCache]] = {
             node.name: {
                 shard: AdaptiveReplacementCache(per_shard)
                 for shard in plan.names
             }
             for node in cluster.compute
-        }
-        self.arc: dict[str, AdaptiveReplacementCache | _ShardedNodeArc] = {
-            name: (
-                _ShardedNodeArc(plan, arcs)
-                if plan.n_shards > 1
-                else arcs[plan.names[0]]
-            )
-            for name, arcs in self.shard_arcs.items()
         }
         #: per-block ZFS pipeline costs (shared with the Figure 11 backend)
         self.zfs_costs = ZfsCostModel()
@@ -629,7 +607,6 @@ class TimedSquirrel:
             row.fact: [] for row in INSTRUMENTS if row.fact is not None
         }
         self._fleet_memo: tuple = (None, None)
-        self._shard_fleet_memo: tuple = (None, None)
         self.declare(ALWAYS)
         if self.squirrel.placement is not None:
             self.declare(PLACEMENT)
@@ -743,43 +720,36 @@ class TimedSquirrel:
             return value if value in self._tenant_ids else "_other"
         return value
 
-    def _fleet_totals(self) -> tuple[float, float, float, float]:
+    def _fleet_totals(self) -> tuple:
         """Whole-fleet DDT entries, DDT core bytes, pool data bytes and ARC
-        resident bytes: one walk over the fleet per scrape instant serves
-        every "_fleet" gauge."""
+        resident bytes, then per shard the fleet's ARC-slice resident bytes
+        and node DDT core bytes: one memo per scrape instant serves every
+        "_fleet" gauge. A chain without a dedup domain of its own reads the
+        global DDT core the pool walk sums."""
         at, totals = self._fleet_memo
         if at != self.engine.now:
+            nodes = self.squirrel.cluster.compute
             entries = core = data = 0.0
-            for node in self.squirrel.cluster.compute:
+            for node in nodes:
                 pool = node.pool
                 entries += pool.ddt.entry_count
                 core += pool.ddt.in_core_bytes
                 data += pool.data_bytes
-            resident = float(sum(a.resident_bytes for a in self.arc.values()))
-            totals = (entries, core, data, resident)
-            self._fleet_memo = (self.engine.now, totals)
-        return totals
-
-    def _shard_fleet_totals(self) -> dict[str, tuple[float, float]]:
-        """Per shard, the fleet's ARC-slice resident bytes and node DDT core
-        bytes: one sweep per scrape instant."""
-        at, totals = self._shard_fleet_memo
-        if at != self.engine.now:
-            nodes = self.squirrel.cluster.compute
-            totals = {
-                shard: (
-                    float(sum(
-                        self.shard_arcs[n.name][shard].resident_bytes
-                        for n in nodes
-                    )),
-                    float(sum(
-                        _node_shard_ddt_core(n, chain.domain)
-                        for n in nodes
-                    )),
-                )
-                for shard, chain in self.squirrel.cvolume.chains.items()
+            chains = self.squirrel.cvolume.chains
+            slices = self.arcs.values()
+            shard_resident = {
+                shard: float(sum(arcs[shard].resident_bytes for arcs in slices))
+                for shard in chains
             }
-            self._shard_fleet_memo = (self.engine.now, totals)
+            shard_core = {
+                shard: core if chain.domain is None else float(sum(
+                    _node_shard_ddt_core(node, chain.domain) for node in nodes
+                ))
+                for shard, chain in chains.items()
+            }
+            resident = float(sum(shard_resident.values()))
+            totals = (entries, core, data, resident, shard_resident, shard_core)
+            self._fleet_memo = (self.engine.now, totals)
         return totals
 
     # -- fault-injector queries ----------------------------------------------------
@@ -912,13 +882,15 @@ class TimedSquirrel:
 
     def _warm_read(self, image_id: int, node_name: str, bt,
                    tenant: int | None = None):
-        """Cache hit: resolve each cVolume block through the node's ARC;
-        misses read the compressed record off the local pool and decompress
-        it — zero network involvement either way."""
+        """Cache hit: resolve each cVolume block through the ARC slice of
+        the image's shard on the node; misses read the compressed record
+        off the local pool and decompress it — zero network involvement
+        either way."""
         node = self.squirrel.cluster.node(node_name)
         chain = self.squirrel.cvolume.chain_of(image_id)
         cache = node.pool.dataset(chain.cc_name).file(cache_file_name(image_id))
-        arc = self.arc[node_name]
+        slices = self.arcs[node_name]
+        arc = slices[chain.name]
         before = arc.stats.as_dict()
         lookup = bt.child("arc.lookup", image_id=image_id)
         total_logical = 0
@@ -945,8 +917,10 @@ class TimedSquirrel:
         sharding = self.squirrel.sharding
         if sharding is not None and tenant is not None:
             sharding.note_tenant_arc(tenant, delta["hits"], delta["misses"])
-        self.timeline.gauge(f"arc_p:{node_name}", arc.p)
-        self.timeline.gauge(f"arc_resident:{node_name}", arc.resident_bytes)
+        self.timeline.gauge(f"arc_p:{node_name}", _arc_p(slices.values()))
+        self.timeline.gauge(
+            f"arc_resident:{node_name}", _arc_resident(slices.values())
+        )
         # the block-pointer walk + DDT/ZAP lookup for every record of the
         # paper-scale cache file
         yield self.engine.timeout(

@@ -1,9 +1,12 @@
 """Tests for the command-line experiment runner."""
 
+import re
+
 import pytest
 
 from repro.__main__ import ALIASES, EXPERIMENTS, main
 from repro.common.errors import SendStreamError
+from repro.obs import RuntimeProfiler
 
 
 class TestCli:
@@ -130,13 +133,18 @@ class TestProgressAndRuntime:
     """--progress and the runtime profiler are stderr/side-file only:
     canonical stdout stays byte-identical with them enabled."""
 
-    def test_progress_leaves_json_stdout_byte_identical(self, capsys):
+    def test_progress_leaves_json_stdout_byte_identical(self, capsys, monkeypatch):
+        # a tiny storm ends long before TICK_EVERY events: tick every 20 so
+        # the CLI run really beats
+        monkeypatch.setattr(RuntimeProfiler, "tick_every", 20)
         assert main(STORM_FAST) == 0
         plain = capsys.readouterr()
         assert main(STORM_FAST + ["--progress"]) == 0
         progressed = capsys.readouterr()
         assert progressed.out == plain.out
         assert "[runtime]" in plain.err and "[runtime]" in progressed.err
+        assert re.search(r"^\[progress\] .*sim \d+\.\ds", progressed.err, re.M)
+        assert "[progress]" not in plain.err
 
     def test_sweep_progress_leaves_json_stdout_byte_identical(
         self, capsys, monkeypatch, tmp_path

@@ -26,6 +26,7 @@ from repro.obs import (
     chrome_trace,
     dump_chrome_trace,
 )
+from repro.shard import ShardRouter, build_plan
 from repro.sim import Engine, Timeline
 from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from repro.workload import StormConfig, TimedSquirrel, boot_storm
@@ -194,12 +195,14 @@ def dataset():
     return LazyImageCatalog(DatasetConfig(scale=1 / 2048))
 
 
-def make_rig(dataset, n_compute=4, seed=0):
+def make_rig(dataset, n_compute=4, seed=0, shards=1):
     cluster = IaaSCluster.build(n_compute=n_compute, n_storage=4, block_size=BLOCK)
     squirrel = Squirrel(
         cluster=cluster,
         estimator=make_estimator("gzip6", (BLOCK,), samples_per_point=2),
     )
+    if shards > 1:
+        ShardRouter(build_plan(dataset.specs[:8], shards)).install(squirrel)
     engine = Engine(seed=seed)
     timeline = Timeline(engine)
     return squirrel, engine, timeline, TimedSquirrel(squirrel, dataset, engine, timeline)
@@ -272,11 +275,21 @@ class TestAttributionInvariant:
         assert block["hit_tier_fractions"]["t2"] > 0.0
 
     def test_node_crash_wipes_the_arc(self, dataset):
-        _, engine, _, timed = make_rig(dataset)
-        timed.arc["compute1"].put(("warm", 0), True, 1024)
-        FaultInjector(timed, FaultPlan.parse("crash:compute1@1+10")).start()
-        engine.run()
-        assert timed.arc["compute1"].resident_bytes == 0
+        """A crash empties every ARC slice of its node, unsharded and
+        sharded alike, and leaves the other nodes' slices as they were."""
+        for shards in (1, 3):
+            _, engine, _, timed = make_rig(dataset, shards=shards)
+            for slices in timed.arcs.values():
+                for shard, arc in slices.items():
+                    arc.put(("warm", shard), True, 1024)
+            FaultInjector(timed, FaultPlan.parse("crash:compute1@1+10")).start()
+            engine.run()
+            assert len(timed.arcs["compute1"]) == shards
+            for node, slices in timed.arcs.items():
+                for shard, arc in slices.items():
+                    crashed = node == "compute1"
+                    assert arc.resident_bytes == (0 if crashed else 1024)
+                    assert (("warm", shard) in arc) is not crashed
 
 
 class TestSpanNesting:

@@ -9,10 +9,9 @@ from repro.common.errors import ConfigError
 from repro.common.report import dumps_canonical
 from repro.experiments import registry, storm_timeline
 from repro.experiments.params import validate_params
-from repro.shard import ShardPlan
+from repro.metrics import Sampler
 from repro.sweep import SweepSpec, run_sweep
 from repro.workload import timed
-from repro.zfs import AdaptiveReplacementCache
 
 #: small enough for unit tests, large enough for tenants to collide
 SMALL = {"nodes": 8, "vms_per_node": 2}
@@ -65,28 +64,103 @@ class TestUnshardedAnchor:
         assert "unsharded baseline" in storm_timeline.render_shards(one)
 
 
-class TestNodeArc:
-    def test_one_shard_slice_reports_what_a_plain_arc_does(self):
-        """One shard takes the plain ARC; a one-slice partitioned ARC fed
-        the same lookups must report identical numbers."""
-        plain = AdaptiveReplacementCache(4096)
-        sliced = timed._ShardedNodeArc(
-            ShardPlan("tenant", ("s00",)),
-            {"s00": AdaptiveReplacementCache(4096)},
-        )
-        # a hot set revisited between cold scans: hits, ghosts, evictions
-        keys = [
-            (0, i % 4) if i % 3 else (1, i) for i in range(200)
-        ]
-        for index, key in enumerate(keys):
-            for arc in (plain, sliced):
-                if arc.get(key) is None:
-                    arc.put(key, True, 256 + 128 * (index % 3))
-        assert sliced.stats == plain.stats
-        assert sliced.stats.hits > 0 and sliced.stats.t1_evictions > 0
-        assert (sliced.p, sliced.resident_bytes) == (
-            plain.p, plain.resident_bytes
-        )
+class TestNodeArcSlices:
+    def test_node_gauges_pool_the_slices_a_warm_read_keeps_apart(
+        self, monkeypatch
+    ):
+        """On a 3-shard storm (and its one-slice global side), every
+        scrape's per-node ARC gauges are the sums of the node's slices
+        (the hit rate: pooled hits over pooled lookups), the "_fleet"
+        gauges past the detail cap are the sums over every node (per shard
+        too, over the shard's own dedup domain or the global DDT), and a
+        warm read touches only the slice of its image's shard."""
+        rigs, reads = [], []
+        scraped = {"nodes": 0, "multi_slice": 0, "fleet": 0}
+        raw_init = timed.TimedSquirrel.__init__
+        raw_warm_read = timed.TimedSquirrel._warm_read
+        raw_scrape = Sampler.scrape
+
+        def init(self, *args, **kwargs):
+            raw_init(self, *args, **kwargs)
+            rigs.append(self)
+
+        def warm_read(self, image_id, node_name, bt, tenant=None):
+            slices = self.arcs[node_name]
+            before = {shard: arc.stats.as_dict() for shard, arc in slices.items()}
+            steps = raw_warm_read(self, image_id, node_name, bt, tenant)
+            # every lookup runs before the read's first wait, a timeout
+            # whose value it ignores (no fault can interrupt it here)
+            first = next(steps)
+            after = {shard: arc.stats.as_dict() for shard, arc in slices.items()}
+            reads.append(
+                (self.squirrel.cvolume.chain_of(image_id).name, before, after)
+            )
+            yield first
+            return (yield from steps)
+
+        def scrape(self):
+            raw_scrape(self)
+            rig = next(r for r in rigs if r.engine is self.engine)
+            family = rig.metrics.family
+            for node in rig._axes["node"]:
+                slices = list(rig.arcs[node].values())
+                hits = sum(arc.stats.hits for arc in slices)
+                lookups = hits + sum(arc.stats.misses for arc in slices)
+                gauges = {
+                    name: family(name).labels(node=node).read()
+                    for name in (
+                        "zfs_arc_resident_bytes", "zfs_arc_p_bytes",
+                        "zfs_arc_hit_rate",
+                    )
+                }
+                assert gauges == {
+                    "zfs_arc_resident_bytes":
+                        sum(arc.resident_bytes for arc in slices),
+                    "zfs_arc_p_bytes": sum(arc.p for arc in slices),
+                    "zfs_arc_hit_rate": hits / lookups if lookups else 0.0,
+                }
+                scraped["nodes"] += 1
+                resident = [arc.resident_bytes for arc in slices]
+                scraped["multi_slice"] += sum(map(bool, resident)) > 1
+            if rig.squirrel.sharding is None:
+                return  # the cacheless baseline declares no shard families
+            nodes = rig.arcs.values()
+            fleet = [(
+                "zfs_arc_resident_bytes", {},
+                sum(arc.resident_bytes
+                    for slices in nodes for arc in slices.values()),
+            )]
+            for shard, chain in rig.squirrel.cvolume.chains.items():
+                fleet += [
+                    ("zfs_shard_arc_resident_bytes", {"shard": shard},
+                     sum(slices[shard].resident_bytes for slices in nodes)),
+                    ("zfs_shard_node_ddt_core_bytes", {"shard": shard},
+                     sum(timed._node_shard_ddt_core(node, chain.domain)
+                         for node in rig.squirrel.cluster.compute)),
+                ]
+            for name, labels, value in fleet:
+                assert family(name).labels(node="_fleet", **labels).read() == value
+            scraped["fleet"] += 1
+
+        monkeypatch.setattr(timed, "METRICS_NODE_DETAIL", 2)
+        monkeypatch.setattr(timed.TimedSquirrel, "__init__", init)
+        monkeypatch.setattr(timed.TimedSquirrel, "_warm_read", warm_read)
+        monkeypatch.setattr(Sampler, "scrape", scrape)
+        storm_timeline.run_shards(shards=3, nodes=4, vms_per_node=6)
+
+        # the grouped side's three slices per node, one on the other sides
+        assert {len(next(iter(r.arcs.values()))) for r in rigs} == {3, 1}
+        assert scraped["nodes"] > 0 and scraped["multi_slice"] > 0
+        assert scraped["fleet"] > 0
+        assert reads
+        touched_busy_neighbour = 0
+        for shard, before, after in reads:
+            assert after[shard] != before[shard]
+            for other in before.keys() - {shard}:
+                assert after[other] == before[other]
+                touched_busy_neighbour += any(before[other].values())
+        # the isolation was tested against slices that had seen lookups
+        assert touched_busy_neighbour > 0
 
 
 class TestShardingBlock:
