@@ -9,7 +9,8 @@ crash; full-replication placement and the one-shard storm (the two
 byte-identity anchors of the storm); the faulted storm; the diurnal day;
 the node-detail cap's ``_other``/``_fleet`` children, unsharded and
 (under a crash) sharded; registration churn under every fault kind
-(including a skipped overlap); and the sharded storm.
+(including a skipped overlap); a churn long enough to wrap the metrics
+ring; and the sharded storm.
 
 The trace pin hashes the Chrome trace of a placement storm under a peer
 crash and a brick failure: the span args (``replica``, ``degraded``,
@@ -88,6 +89,12 @@ CASES = {
     "churn": (
         lambda: _run("churn", nodes=4, days=4.0, faults=CHURN_FAULTS),
         "c5c9c6ef38bbd12eebd79d21f9c64d4e36e4c4f2fe6422837614419802623e70",
+    ),
+    # a 90-day churn scrapes past the metrics ring: its longest series
+    # holds the ring's 4,096 samples and records 226 dropped
+    "churn-ring": (
+        lambda: _run("churn", nodes=4, days=90),
+        "1bf2d01cf4d63dbe13d44cf2abdabd7f05c3378108a59f44fbf310a090a7fe8f",
     ),
     # defaults: 8x4, seed 0, shards=4, tenant grouping, quota 256 MiB
     "shards": (
