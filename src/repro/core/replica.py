@@ -21,8 +21,11 @@ of nodes point at it:
   **repointed** — zero pool work;
 * when only part of a replica's population applies the op (placement
   installs on a holder subset, GC racing an offline node), the group gets
-  a **copy-on-write clone** — one ``deepcopy`` per divergence event, not
-  per node — and diverges from there.
+  a **copy-on-write clone** — one :meth:`~repro.zfs.ZPool.clone` per
+  divergence event, not per node — and diverges from there. The clone
+  shares what no op mutates in place (block pointers, file views, frozen
+  snapshot maps) and copies the rest (DDT entries, space map, block
+  lists, deadlists, ARC).
 
 Histories, not contents, are interned: two pools that became identical
 through different op orders are conservatively kept separate, which can
@@ -33,7 +36,6 @@ private per-node pool would hold, so reports stay byte-identical.
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Hashable, Iterable
 
 from ..zfs import ZPool
@@ -138,10 +140,8 @@ class ReplicaStore:
             replica.state = nxt
             self._interned[nxt] = replica
             return
-        # partial group: CoW — one clone for the whole group, then diverge;
-        # the deepcopy shares block pointers, file views and frozen
-        # snapshot maps, and copies only what a pool mutates
-        clone = Replica(copy.deepcopy(replica.pool), state=replica.state)
+        # partial group: CoW — one clone for the whole group, then diverge
+        clone = Replica(replica.pool.clone(), state=replica.state)
         for node in members:
             self._repoint(node, clone)
         mutate(clone.pool)

@@ -20,6 +20,7 @@ simulation's event order.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 
 import numpy as np
 
@@ -290,9 +291,10 @@ class Pipe:
         if len(self._plan_head_idx):
             remaining[self._plan_head_idx] = 0.0  # this wake IS their departure
         done_mask = remaining <= 0.0
-        finished = [f for f, d in zip(self._flows, done_mask) if d]
-        self._flows = [f for f, d in zip(self._flows, done_mask) if not d]
-        self._remaining = remaining[~done_mask]
+        keep = ~done_mask
+        finished = list(compress(self._flows, done_mask.tolist()))
+        self._flows = list(compress(self._flows, keep.tolist()))
+        self._remaining = remaining[keep]
         for flow in finished:
             if self.timeline is not None and self.name is not None:
                 overhead = (self.engine.now - flow.started_s) - flow.ideal_s

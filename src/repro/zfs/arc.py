@@ -13,7 +13,7 @@ resident bytes as memory consumption.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Generic, Hashable, TypeVar
 
 __all__ = ["AdaptiveReplacementCache", "ArcStats"]
@@ -182,6 +182,18 @@ class AdaptiveReplacementCache(Generic[K, V]):
             "b1": self._b1_bytes,
             "b2": self._b2_bytes,
         }
+
+    def copy(self) -> "AdaptiveReplacementCache[K, V]":
+        """A cache with this one's lists, target and stats that evolves
+        apart from it (the cached values are shared)."""
+        clone = AdaptiveReplacementCache(self.capacity)
+        clone._p = self._p
+        clone._t1, clone._t2 = OrderedDict(self._t1), OrderedDict(self._t2)
+        clone._b1, clone._b2 = OrderedDict(self._b1), OrderedDict(self._b2)
+        clone._t1_bytes, clone._t2_bytes = self._t1_bytes, self._t2_bytes
+        clone._b1_bytes, clone._b2_bytes = self._b1_bytes, self._b2_bytes
+        clone.stats = replace(self.stats)
+        return clone
 
     def clear(self) -> None:
         """Drop all cached data and ghosts (e.g. node reboot)."""

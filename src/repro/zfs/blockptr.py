@@ -41,9 +41,6 @@ class BlockPointer:
         """Copy of this pointer reborn in ``txg`` (used by send-stream receive)."""
         return BlockPointer(self.checksum, self.lsize, self.psize, txg, self.compression)
 
-    def __deepcopy__(self, memo: dict) -> "BlockPointer":
-        return self  # immutable: pool clones share their block pointers
-
 
 #: Canonical zero-length hole pointer (ranges never written).
 HOLE = BlockPointer(checksum=None, lsize=0, psize=0, birth_txg=0)

@@ -16,7 +16,7 @@ exactly the way ZFS does it — not by bumping refcounts at snapshot creation
 
 Snapshot file maps are frozen: once published, a snapshot's ``files`` and
 ``file_created`` dicts are never mutated, so snapshots, send streams and
-replica clones share them. The dataset keeps the maps its last
+pool clones share them. The dataset keeps the maps its last
 :meth:`Dataset.snapshot` froze plus the names touched since (created,
 written, deleted or truncated); the next snapshot copies those maps and
 refreshes only the touched names, so it costs what changed, not the
@@ -58,18 +58,6 @@ class Snapshot:
         """Physical bytes referenced by this snapshot (before dedup)."""
         return sum(bp.psize for blocks in self.files.values() for bp in blocks)
 
-    def __deepcopy__(self, memo: dict) -> "Snapshot":
-        # the frozen maps are shared (and memoised, so the dataset's frozen
-        # base is shared too); only the deadlist is per-pool state.
-        # copy.deepcopy memoises the returned clone, so the clone dataset's
-        # _snapshots and _snap_by_name keep holding one object
-        memo[id(self.files)] = self.files
-        memo[id(self.file_created)] = self.file_created
-        return Snapshot(
-            self.name, self.txg, self.prev_txg, self.files, list(self.deadlist),
-            self.file_created,
-        )
-
 
 class Dataset:
     """A mounted filesystem/volume inside a pool."""
@@ -100,6 +88,28 @@ class Dataset:
         self._frozen_files: dict[str, tuple[BlockPointer, ...]] = {}
         self._frozen_created: dict[str, int] = {}
         self._touched: set[str] = set()
+
+    def copy_into(self, pool: "ZPool", zio) -> "Dataset":
+        """This dataset's copy in ``pool``, writing through ``zio`` (see
+        :meth:`ZPool.clone` for what the two share)."""
+        clone = Dataset(
+            pool, self.name, record_size=self.record_size,
+            compression=self.compression, zio=zio,
+        )
+        clone._files = {name: obj.copy() for name, obj in self._files.items()}
+        clone._snapshots = [
+            Snapshot(
+                snap.name, snap.txg, snap.prev_txg, snap.files,
+                list(snap.deadlist), snap.file_created,
+            )
+            for snap in self._snapshots
+        ]
+        clone._snap_by_name = {snap.name: snap for snap in clone._snapshots}
+        clone._head_deadlist = list(self._head_deadlist)
+        clone._frozen_files = self._frozen_files
+        clone._frozen_created = self._frozen_created
+        clone._touched = set(self._touched)
+        return clone
 
     # -- file I/O ------------------------------------------------------------
 

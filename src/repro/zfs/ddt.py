@@ -97,6 +97,18 @@ class DedupTable:
             return entry
         return None
 
+    def copy(self) -> "DedupTable":
+        """A table whose refcounts change apart from this one's."""
+        return DedupTable(
+            {
+                key: DDTEntry(
+                    e.checksum, e.psize, e.lsize, e.refcount, e.dva, e.birth_txg
+                )
+                for key, e in self._entries.items()
+            },
+            self._total_refs,
+        )
+
     # -- accounting ---------------------------------------------------------
 
     @property

@@ -92,13 +92,12 @@ class FileObject:
         """Logical bytes excluding holes — the paper's 'nonzero' measure."""
         return sum(bp.lsize for bp in self.blocks if not bp.is_hole)
 
-    def __deepcopy__(self, memo: dict) -> "FileObject":
-        # block pointers and the memoised view are immutable: share them
-        view = self._view
-        if view is not None:
-            memo[id(view)] = view
+    def copy(self) -> "FileObject":
+        """A file whose block list changes apart from this one's; block
+        pointers and the memoised view are immutable, so both share them."""
         return FileObject(
-            self.name, self.record_size, list(self.blocks), self.created_txg, view
+            self.name, self.record_size, list(self.blocks), self.created_txg,
+            self._view,
         )
 
     def snapshot_view(self) -> tuple[BlockPointer, ...]:

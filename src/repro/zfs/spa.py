@@ -13,7 +13,7 @@ charges ``asize``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..common.errors import PoolFullError
 from ..common.units import align_up
@@ -60,6 +60,10 @@ class SpaceMap:
         self._allocated -= asize
         self._freed += asize
         return asize
+
+    def copy(self) -> "SpaceMap":
+        """A space map that allocates and frees apart from this one."""
+        return replace(self, _sizes=dict(self._sizes))
 
     @property
     def allocated_bytes(self) -> int:

@@ -12,7 +12,12 @@ checked against what each step touched:
 * the catalog builds each release's master window once: ``master_grains``
   runs at most once per distinct ``(release, pool kind)`` it is asked for,
   not once per registered image.
+
+A faulted churn splits replicas with ``ZPool.clone``, never with a
+generic deep copy.
 """
+
+import copy
 
 import pytest
 
@@ -20,10 +25,11 @@ import repro.vmi.catalog
 import repro.vmi.image
 
 from repro.core.squirrel import Squirrel
+from repro.experiments import registry
 from repro.metrics import Sampler, TimeSeriesStore
 from repro.vmi import LazyImageCatalog, master_grains
 from repro.workload import StormConfig, boot_storm
-from repro.zfs import Dataset
+from repro.zfs import Dataset, ZPool
 from repro.zfs.dmu import FileObject
 
 
@@ -107,3 +113,24 @@ def _count_masters(monkeypatch) -> dict:
     for module in (repro.vmi.image, repro.vmi.catalog):
         monkeypatch.setattr(module, "master_grains", counted, raising=False)
     return masters
+
+
+def test_replica_splits_clone_pools_without_deepcopy(monkeypatch):
+    clones = 0
+    raw_clone = ZPool.clone
+
+    def clone(self):
+        nonlocal clones
+        clones += 1
+        return raw_clone(self)
+
+    def deepcopy(*args, **kwargs):
+        raise AssertionError("copy.deepcopy called")
+
+    monkeypatch.setattr(ZPool, "clone", clone)
+    monkeypatch.setattr(copy, "deepcopy", deepcopy)
+    exp = registry.get("churn")
+    exp.run(None, **exp.validate(
+        {"nodes": 4, "days": 1.0, "faults": "crash:compute1@3600+7200"}
+    ))
+    assert clones >= 1
