@@ -17,10 +17,18 @@ from ..net import GBE_1, GlusterVolume, LinkProfile, Node, NodeKind, TransferLed
 from ..zfs import Dataset, ZPool
 from .replica import Replica, ReplicaStore
 
-__all__ = ["ComputeNode", "StorageTier", "IaaSCluster", "CCVOLUME", "SCVOLUME"]
+__all__ = [
+    "ComputeNode", "StorageTier", "IaaSCluster", "CCVOLUME", "SCVOLUME",
+    "compute_name",
+]
 
 CCVOLUME = "ccvol"
 SCVOLUME = "scvol"
+
+
+def compute_name(index: int) -> str:
+    """The name of the cluster's ``index``-th compute node."""
+    return f"compute{index}"
 
 
 @dataclass
@@ -141,7 +149,7 @@ class IaaSCluster:
         replicas = ReplicaStore(blank)
         compute = [
             ComputeNode(
-                Node(f"compute{i}", NodeKind.COMPUTE, link),
+                Node(compute_name(i), NodeKind.COMPUTE, link),
                 replicas.acquire_blank(),
             )
             for i in range(n_compute)

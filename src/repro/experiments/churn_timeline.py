@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..common.errors import ConfigError
 from ..common.report import ReportBase
 from ..common.units import GiB
-from ..metrics import write_run_exports
+from ..metrics import exported
 from ..workload import ChurnConfig, ChurnReport, register_churn
 from .context import ExperimentContext
 from .params import ParamSpec
@@ -123,13 +123,12 @@ def run(
         seed=seed,
         faults=faults,
     )
-    result = ChurnTimelineResult(
-        config=config,
-        report=register_churn(config, trace_path=trace),
+    return exported(
+        ChurnTimelineResult(
+            config=config, report=register_churn(config, trace_path=trace)
+        ),
+        metrics,
     )
-    if metrics is not None:
-        write_run_exports(metrics, result)
-    return result
 
 
 def render(result: ChurnTimelineResult) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..common.report import ReportBase
 from ..common.units import GiB
-from ..metrics import write_run_exports
+from ..metrics import exported
 from ..workload import DayConfig, DayReport, steady_state_day
 from .context import ExperimentContext
 from .params import ParamSpec
@@ -104,13 +104,12 @@ def run(
         seed=seed,
         faults=faults,
     )
-    result = DayTimelineResult(
-        config=config,
-        report=steady_state_day(config, trace_path=trace),
+    return exported(
+        DayTimelineResult(
+            config=config, report=steady_state_day(config, trace_path=trace)
+        ),
+        metrics,
     )
-    if metrics is not None:
-        write_run_exports(metrics, result)
-    return result
 
 
 def render(result: DayTimelineResult) -> str:

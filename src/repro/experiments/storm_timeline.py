@@ -23,15 +23,20 @@ decompression cores. Four registrations share that one driver:
   storm under a :class:`~repro.placement.PlacementSpec` (``policy`` decides
   who hoards what, ``transport`` how seeds move), reporting the tradeoff
   frontier of hoarded bytes vs hit rate vs peer-redirect traffic vs boot
-  latency. ``policy=full`` attaches no coordinator, so its embedded report
-  is byte-identical to the ``storm`` experiment's at the same seed.
+  latency. A partial policy's coordinator is built up front, over the
+  trace's population and the config's fleet, and handed to
+  :func:`~repro.workload.boot_storm` as its ``attach`` object.
+  ``policy=full`` attaches no coordinator, so its embedded report is
+  byte-identical to the ``storm`` experiment's at the same seed.
 * ``shards`` — the cVolume split into ``shards`` dedup domains (grouped by
   image similarity or tenant ownership), each with a per-shard byte quota
   and its own slice of every node's boot ARC, contrasted against a single
   global domain holding the *same aggregate* quota and RAM. The
   ``sharding.victim`` block names the tenant isolation helped most — the
-  noisy-neighbor figure ``slo/shards.toml`` gates in CI. ``shards=1``
-  attaches nothing and is byte-identical to the ``storm`` experiment.
+  noisy-neighbor figure ``slo/shards.toml`` gates in CI. Each side's
+  :class:`~repro.shard.ShardRouter` rides the same ``attach`` slot.
+  ``shards=1`` attaches nothing and is byte-identical to the ``storm``
+  experiment.
 
 The ids keep their own defaults (64×8, 64×8 faulted, 16×4 and 8×4) and
 grid axes, e.g.::
@@ -49,7 +54,8 @@ from functools import partial
 from ..common.errors import ConfigError
 from ..common.report import ReportBase
 from ..common.units import GiB
-from ..metrics import write_run_exports
+from ..core.cluster import compute_name
+from ..metrics import exported
 from ..placement import (
     POLICY_NAMES,
     TRANSPORT_NAMES,
@@ -207,13 +213,6 @@ def storm_params(
     )
 
 
-def _exported(result, metrics):
-    """Write ``result``'s exports into ``metrics`` (if given); return it."""
-    if metrics is not None:
-        write_run_exports(metrics, result)
-    return result
-
-
 # -- side tables ----------------------------------------------------------------------
 
 
@@ -301,7 +300,7 @@ def run(
     config = StormConfig.from_params(
         nodes=nodes, vms_per_node=vms_per_node, seed=seed, faults=faults
     )
-    return _exported(
+    return exported(
         StormTimelineResult(
             config=config, report=boot_storm(config, trace_path=trace)
         ),
@@ -534,10 +533,12 @@ def run_placement(
 
     ``policy=full`` attaches no coordinator — the run *is* the paper
     baseline, and its tallies are the analytic full-replication ones.
-    Partial policies attach a coordinator to the Squirrel side and surface
-    its tallies in the ``placement`` block. ``zipf`` shapes the tenant
-    workload's popularity skew (both the arrival trace and the declared
-    popularity the policies place by).
+    A partial policy's coordinator is built before the storm, over the
+    fleet the config names (:func:`~repro.core.cluster.compute_name`),
+    and attached to the Squirrel side, whose rig checks that fleet on
+    install; its tallies fill the ``placement`` block. ``zipf`` shapes the
+    tenant workload's popularity skew (both the arrival trace and the
+    declared popularity the policies place by).
     """
     config = StormConfig.from_params(
         nodes=nodes, vms_per_node=vms_per_node, seed=seed, zipf=zipf,
@@ -555,27 +556,19 @@ def run_placement(
     catalog = catalog_at(config.scale)
     arrivals = storm_arrivals(config, catalog)
     n_images = arrivals.n_registered
-    coordinator = None
-
-    def attach(squirrel):
-        nonlocal coordinator
-        fleet = tuple(node.name for node in squirrel.cluster.compute)
-        coordinator = build_coordinator(
-            spec, squirrel.cluster, placement_context(arrivals, fleet)
-        )
-        return coordinator
-
-    report = boot_storm(
-        config,
-        trace_path=trace,
-        placement_factory=None if policy == "full" else attach,
+    fleet = tuple(compute_name(i) for i in range(config.n_nodes))
+    coordinator = (
+        None
+        if policy == "full"
+        else build_coordinator(spec, placement_context(arrivals, fleet))
     )
+    report = boot_storm(config, trace_path=trace, attach=coordinator)
     tallies = (
         coordinator.stats()
         if coordinator is not None
         else _full_baseline_tallies(catalog, config, n_images)
     )
-    return _exported(
+    return exported(
         PlacementResult(
             config=config,
             spec=spec.to_dict(),
@@ -746,4 +739,4 @@ def run_shards(
                 "latency_p95": outcome.global_side.latency.p95,
             },
         )
-    return _exported(result, metrics)
+    return exported(result, metrics)

@@ -26,6 +26,7 @@ from .export import (
     collect_metric_blocks,
     ensure_export_dir,
     export_name,
+    exported,
     metrics_block,
     prometheus_text,
     series_jsonl,
@@ -54,6 +55,7 @@ __all__ = [
     "collect_metric_blocks",
     "ensure_export_dir",
     "export_name",
+    "exported",
     "format_number",
     "metrics_block",
     "prometheus_text",

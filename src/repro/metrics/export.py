@@ -29,6 +29,7 @@ from .store import TimeSeriesStore
 __all__ = [
     "collect_metric_blocks",
     "ensure_export_dir",
+    "exported",
     "metrics_block",
     "prometheus_text",
     "series_jsonl",
@@ -227,3 +228,11 @@ def write_run_exports(out_dir: str | Path, result: Any) -> dict[str, Path]:
         )
         written["runtime.json"] = runtime_path
     return written
+
+
+def exported(result: Any, out_dir: str | Path | None) -> Any:
+    """Write ``result``'s run exports into ``out_dir`` when one is given
+    (the ``--metrics`` tail of every timed experiment); return ``result``."""
+    if out_dir is not None:
+        write_run_exports(out_dir, result)
+    return result

@@ -99,6 +99,14 @@ class PlacementCoordinator:
     seed_duration_s: float = 0.0
     reseed_bytes: int = 0
 
+    def install(self, squirrel) -> None:
+        """Attach to ``squirrel`` as its ``placement``; the fleet this
+        coordinator places over must be ``squirrel``'s compute nodes."""
+        node_names = tuple(node.name for node in squirrel.cluster.compute)
+        if self.directory.nodes != node_names:
+            raise ConfigError("placement context does not match the cluster fleet")
+        squirrel.placement = self
+
     # -- registration ---------------------------------------------------------------
 
     def holders_for(self, image_id: int) -> tuple[str, ...]:
@@ -278,17 +286,14 @@ class PlacementCoordinator:
 
 
 def build_coordinator(
-    spec: PlacementSpec, cluster, context: PlacementContext
+    spec: PlacementSpec, context: PlacementContext
 ) -> PlacementCoordinator:
-    """Materialise a coordinator for a cluster from a spec and context.
+    """Materialise a coordinator for ``context``'s fleet from a spec.
 
     The policy's whole-catalogue hoard map is computed once, up front —
     placement never depends on arrival order, which is what keeps sweep
     merges byte-identical at any worker count.
     """
-    node_names = tuple(node.name for node in cluster.compute)
-    if context.nodes != node_names:
-        raise ConfigError("placement context does not match the cluster fleet")
     policy = make_policy(
         spec.policy, top_k=spec.top_k, replica_floor=spec.replica_floor
     )
@@ -296,6 +301,6 @@ def build_coordinator(
     return PlacementCoordinator(
         spec=spec,
         policy=policy,
-        directory=PlacementDirectory(node_names),
+        directory=PlacementDirectory(context.nodes),
         assignments=assignments,
     )

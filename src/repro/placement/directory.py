@@ -25,9 +25,10 @@ class PlacementDirectory:
     def __init__(self, nodes: tuple[str, ...] | list[str]) -> None:
         if not nodes:
             raise ConfigError("directory needs at least one compute node")
-        self._nodes = tuple(nodes)
-        self._index = {name: i for i, name in enumerate(self._nodes)}
-        if len(self._index) != len(self._nodes):
+        #: the fleet, in ring order
+        self.nodes = tuple(nodes)
+        self._index = {name: i for i, name in enumerate(self.nodes)}
+        if len(self._index) != len(self.nodes):
             raise ConfigError("duplicate compute node names")
         self._holders: dict[int, dict[str, None]] = {}
         self._cache_bytes: dict[int, int] = {}
@@ -121,7 +122,7 @@ class PlacementDirectory:
         holder_map = self._holders.get(image_id)
         if not holder_map:
             return None
-        n = len(self._nodes)
+        n = len(self.nodes)
         reader_index = self._index.get(reader, 0)
         best: tuple[int, int] | None = None
         best_name: str | None = None

@@ -50,7 +50,8 @@ class ShardRouter:
         self._tenants: dict[int, dict[str, int]] = {}
 
     def install(self, squirrel) -> None:
-        """Re-plan ``squirrel``'s cVolume into this router's shards.
+        """Attach to ``squirrel`` as its ``sharding`` and re-plan its
+        cVolume into this router's shards.
 
         Must run before any registration; see
         :meth:`~repro.core.Squirrel.shard_cvolume`.
@@ -64,6 +65,7 @@ class ShardRouter:
         self.cvolume = squirrel.shard_cvolume(
             self.plan, quota_bytes=self.quota_bytes
         )
+        squirrel.sharding = self
 
     # -- tenant accounting ----------------------------------------------------
 

@@ -1,5 +1,20 @@
 """The shared rig: one scenario's cluster, engine and telemetry, wired.
 
+Every timed scenario (both storm sides, the shards global side, the day
+and the churn) runs one lifecycle:
+
+1. :func:`_build_rig` reads the cluster shape, scale, link, trace flag,
+   metrics cadence and fault plan from the scenario config, installs the
+   optional attachment (a :class:`~repro.placement.PlacementCoordinator`
+   or :class:`~repro.shard.ShardRouter`) before
+   :class:`~repro.workload.timed.TimedSquirrel` instruments the rig, starts
+   the sampler and then the config's :class:`~repro.faults.FaultInjector`.
+2. The scenario registers its set-up images (untimed, no process) and
+   schedules its workload processes.
+3. :meth:`_Rig.run` drains the engine under a named phase, checks the
+   glusterfs served-bytes accounting, closes the tracer's open spans and
+   returns the horizon: the one place a timed run ends.
+
 The rig reads its images from the process-wide catalog at its scale
 (:func:`~repro.vmi.catalog_at`, ``rig.catalog.specs``), so every run in a
 process shares one stream/view memo; ``dataset=`` hands in a private one.
@@ -10,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import IaaSCluster, Squirrel
+from ..faults import FaultInjector
 from ..metrics import MetricsRegistry, Sampler, TimeSeriesStore, metrics_block
-from ..net import LinkProfile
 from ..obs import runtime as obs_runtime
 from ..sim import Engine, Timeline
 from ..vmi import LazyImageCatalog, catalog_at, make_estimator
@@ -34,6 +49,17 @@ class _Rig:
     store: TimeSeriesStore
     sampler: Sampler
 
+    def run(self, phase: str, fraction) -> float:
+        """Drain the engine under ``phase`` (``fraction`` is the progress
+        heartbeat's horizon callable), check the served-bytes accounting,
+        close the tracer's open spans; return the horizon."""
+        with obs_runtime.phase(phase):
+            obs_runtime.set_fraction(fraction)
+            horizon = self.engine.run()
+        self.squirrel.cluster.storage.gluster.verify_served_accounting()
+        self.timed.tracer.close_open_spans()
+        return horizon
+
     def metrics_block(self) -> dict:
         """The canonical metrics block for this run (embed in the report)."""
         return metrics_block(
@@ -45,36 +71,31 @@ class _Rig:
 
 
 def _build_rig(
+    config,
     *,
-    n_compute: int,
-    n_storage: int,
-    block_size: int,
-    scale: float,
-    link: LinkProfile,
     seed,
-    trace: bool,
-    metrics_interval_s: float = 5.0,
     dataset: LazyImageCatalog | None = None,
-    placement_factory=None,
-    sharding_factory=None,
+    attach=None,
 ) -> _Rig:
-    catalog = dataset or catalog_at(scale)
+    """Wire ``config``'s cluster, engine and telemetry at engine ``seed``.
+
+    ``attach`` (anything with ``install(squirrel)``) is installed before
+    :class:`TimedSquirrel`, so the instruments and the per-node ARC layout
+    see it.
+    """
+    catalog = dataset or catalog_at(config.scale)
     cluster = IaaSCluster.build(
-        n_compute=n_compute, n_storage=n_storage, block_size=block_size, link=link
+        n_compute=config.n_nodes,
+        n_storage=config.n_storage,
+        block_size=config.block_size,
+        link=config.link,
     )
     # calibrated once per process (make_estimator is cached)
-    estimator = make_estimator("gzip6", (block_size,), samples_per_point=2)
+    estimator = make_estimator("gzip6", (config.block_size,), samples_per_point=2)
     squirrel = Squirrel(cluster=cluster, estimator=estimator, catalog=catalog)
-    if placement_factory is not None:
-        # attach before TimedSquirrel so _instrument sees the coordinator
-        squirrel.placement = placement_factory(squirrel)
-    if sharding_factory is not None:
-        # attach + install before TimedSquirrel: _instrument and the
-        # per-node ARC layout read the re-planned cVolume
-        router = sharding_factory(squirrel)
-        squirrel.sharding = router
-        router.install(squirrel)
-    engine = Engine(seed=seed, trace=trace)
+    if attach is not None:
+        attach.install(squirrel)
+    engine = Engine(seed=seed, trace=config.trace)
     # runtime telemetry (read-only observer; no-op without an active
     # profiler): phase timers + events/s + the --progress heartbeat
     obs_runtime.attach(engine)
@@ -82,6 +103,8 @@ def _build_rig(
     metrics = MetricsRegistry()
     timed = TimedSquirrel(squirrel, catalog, engine, timeline, metrics=metrics)
     store = TimeSeriesStore(capacity=METRICS_RING)
-    sampler = Sampler(engine, metrics, store, interval_s=metrics_interval_s)
+    sampler = Sampler(engine, metrics, store, interval_s=config.metrics_interval_s)
     sampler.start()
+    if config.faults is not None:
+        FaultInjector(timed, config.faults).start()
     return _Rig(catalog, squirrel, engine, timeline, timed, metrics, store, sampler)

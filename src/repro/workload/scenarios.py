@@ -22,9 +22,9 @@ from ..common.errors import ConfigError
 from ..common.hashing import derive_seed
 from ..common.report import ReportBase
 from ..common.rng import stream as rng_stream
-from ..core.cluster import ComputeNode
+from ..core.cluster import ComputeNode, compute_name
 from ..core.squirrel import vmi_file_name
-from ..faults import FaultInjector, FaultPlan
+from ..faults import FaultPlan
 from ..net import GBE_1, LinkProfile
 from ..obs import (
     SpanTracer,
@@ -171,7 +171,7 @@ def storm_arrivals(config: StormConfig, catalog: LazyImageCatalog) -> StormArriv
     plan = []
     for index, t in enumerate(times):
         tenant, image_id = population.sample(rng)
-        node_name = f"compute{index % config.n_nodes}"
+        node_name = compute_name(index % config.n_nodes)
         plan.append((float(t), node_name, image_id, int(tenant.tenant_id)))
     n_registered = max(image_id for _, _, image_id, _ in plan) + 1
     return StormArrivals(population, plan, n_registered)
@@ -204,39 +204,29 @@ def _run_storm_side(
     with_caches: bool,
     catalog: LazyImageCatalog,
     arrivals: StormArrivals,
-    placement_factory=None,
-    sharding_factory=None,
+    attach=None,
 ) -> tuple[StormSide, SpanTracer]:
     plan, n_images = arrivals.plan, arrivals.n_registered
     side_name = "squirrel" if with_caches else "baseline"
     with obs_runtime.phase(f"storm.setup.{side_name}"):
         rig = _build_rig(
-            n_compute=config.n_nodes,
-            n_storage=config.n_storage,
-            block_size=config.block_size,
-            scale=config.scale,
-            link=config.link,
+            config,
             seed=derive_seed("storm", config.seed, side_name),
-            trace=config.trace,
-            metrics_interval_s=config.metrics_interval_s,
             dataset=catalog,
-            placement_factory=placement_factory if with_caches else None,
-            sharding_factory=sharding_factory if with_caches else None,
+            attach=attach if with_caches else None,
         )
         squirrel, engine, timeline, timed = (
             rig.squirrel, rig.engine, rig.timeline, rig.timed,
         )
-        gluster = squirrel.cluster.storage.gluster
         if with_caches:
             for spec in catalog.specs[:n_images]:
                 squirrel.register(spec)  # setup: instant, before the storm
         else:
             # the baseline never registers: only the base VMIs exist on the FS
+            gluster = squirrel.cluster.storage.gluster
             for spec in catalog.specs[:n_images]:
                 gluster.create_file(vmi_file_name(spec.image_id), spec.nonzero_bytes)
         ingress_before = squirrel.cluster.compute_ingress_bytes(purpose="boot-read")
-        if config.faults is not None:
-            FaultInjector(timed, config.faults).start()
 
         def vm(at, node_name, image_id, tenant):
             yield engine.timeout(at)
@@ -250,14 +240,11 @@ def _run_storm_side(
                 vm(at, node_name, image_id, tenant),
                 label=f"vm:{node_name}:{image_id}",
             )
-    with obs_runtime.phase(f"storm.run.{side_name}"):
-        # the heartbeat's horizon: boots completed over boots planned
-        obs_runtime.set_fraction(
-            lambda: timeline.counter("boots") / len(plan) if plan else None
-        )
-        horizon = engine.run()
-    gluster.verify_served_accounting()
-    timed.tracer.close_open_spans()
+    # the heartbeat's horizon: boots completed over boots planned
+    horizon = rig.run(
+        f"storm.run.{side_name}",
+        lambda: timeline.counter("boots") / len(plan) if plan else None,
+    )
     side = StormSide(
         boots=int(timeline.counter("boots")),
         cache_hits=int(timeline.counter("cache_hits")),
@@ -284,8 +271,7 @@ def boot_storm(
     *,
     dataset: LazyImageCatalog | None = None,
     trace_path=None,
-    placement_factory=None,
-    sharding_factory=None,
+    attach=None,
 ) -> StormReport:
     """Run the same flash crowd with Squirrel and without caches.
 
@@ -295,12 +281,11 @@ def boot_storm(
     With a ``trace_path``, both sides' spans are exported there as one
     Chrome trace-event JSON file (processes ``squirrel``/``baseline``).
 
-    ``placement_factory`` (``squirrel -> PlacementCoordinator``) attaches
-    a partial-hoarding coordinator and ``sharding_factory`` (``squirrel ->
-    ShardRouter``) shards the cVolume, both on the Squirrel side only (the
-    no-cache baseline is unaffected). A caller that reads the attachment
-    after the run keeps it from its factory. Without factories the run is
-    the paper baseline.
+    ``attach`` is installed on the Squirrel side's rig only (the no-cache
+    baseline is unaffected): a :class:`~repro.placement.PlacementCoordinator`
+    hoards caches partially, a :class:`~repro.shard.ShardRouter` shards the
+    cVolume. The caller keeps the object and reads its tallies after the
+    run. Without one the run is the paper baseline.
     """
     if config.n_nodes < 1 or config.vms_per_node < 1:
         raise ConfigError("storm needs at least one node and one VM")
@@ -311,8 +296,7 @@ def boot_storm(
     for with_caches in (True, False):
         side, tracer = _run_storm_side(
             config, with_caches=with_caches, catalog=catalog, arrivals=arrivals,
-            placement_factory=placement_factory,
-            sharding_factory=sharding_factory,
+            attach=attach,
         )
         sides[with_caches] = side
         tracers["squirrel" if with_caches else "baseline"] = tracer
@@ -396,16 +380,7 @@ def steady_state_day(
     trace-event JSON file; ``config.faults`` runs the day under injected
     node crashes / link flaps / brick failures.
     """
-    rig = _build_rig(
-        n_compute=config.n_nodes,
-        n_storage=config.n_storage,
-        block_size=config.block_size,
-        scale=config.scale,
-        link=config.link,
-        seed=derive_seed("day", config.seed),
-        trace=config.trace,
-        metrics_interval_s=config.metrics_interval_s,
-    )
+    rig = _build_rig(config, seed=derive_seed("day", config.seed))
     catalog, squirrel, engine, timeline, timed = (
         rig.catalog, rig.squirrel, rig.engine, rig.timeline, rig.timed,
     )
@@ -415,8 +390,6 @@ def steady_state_day(
     for spec in catalog.specs[: config.n_initial_images]:
         squirrel.register(spec)  # overnight backlog: instant setup
     ingress_before = squirrel.cluster.compute_ingress_bytes(purpose="boot-read")
-    if config.faults is not None:
-        FaultInjector(timed, config.faults).start()
 
     rng = rng_stream("workload-day", config.seed)
     boot_times = diurnal_arrivals(
@@ -460,12 +433,8 @@ def steady_state_day(
         timed.collect_garbage()
 
     engine.process(nightly_gc())
-    with obs_runtime.phase("day.run"):
-        # heartbeat horizon: the day ends at DAY_S on the sim clock
-        obs_runtime.set_fraction(lambda: min(1.0, engine.now / DAY_S))
-        engine.run()
-    squirrel.cluster.storage.gluster.verify_served_accounting()
-    timed.tracer.close_open_spans()
+    # heartbeat horizon: the day ends at DAY_S on the sim clock
+    rig.run("day.run", lambda: min(1.0, engine.now / DAY_S))
     if trace_path is not None:
         write_chrome_trace(trace_path, {"day": timed.tracer})
     return DayReport(
@@ -555,23 +524,12 @@ def register_churn(
     trace-event JSON file; ``config.faults`` adds injected faults on top of
     the scenario's own planned downtime windows.
     """
-    rig = _build_rig(
-        n_compute=config.n_nodes,
-        n_storage=config.n_storage,
-        block_size=config.block_size,
-        scale=config.scale,
-        link=config.link,
-        seed=derive_seed("churn", config.seed),
-        trace=config.trace,
-        metrics_interval_s=config.metrics_interval_s,
-    )
+    rig = _build_rig(config, seed=derive_seed("churn", config.seed))
     catalog, squirrel, engine, timeline, timed = (
         rig.catalog, rig.squirrel, rig.engine, rig.timeline, rig.timed,
     )
     squirrel.gc_window_days = config.gc_window_days
     horizon_s = config.horizon_days * DAY_S
-    if config.faults is not None:
-        FaultInjector(timed, config.faults).start()
     rng = rng_stream("workload-churn", config.seed)
 
     register_times = poisson_arrivals(
@@ -620,12 +578,8 @@ def register_churn(
             timed.collect_garbage()
 
     engine.process(daily_gc())
-    with obs_runtime.phase("churn.run"):
-        # heartbeat horizon: registrations + downtime all land inside it
-        obs_runtime.set_fraction(lambda: min(1.0, engine.now / horizon_s))
-        engine.run()
-    squirrel.cluster.storage.gluster.verify_served_accounting()
-    timed.tracer.close_open_spans()
+    # heartbeat horizon: registrations + downtime all land inside it
+    rig.run("churn.run", lambda: min(1.0, engine.now / horizon_s))
     if trace_path is not None:
         write_chrome_trace(trace_path, {"churn": timed.tracer})
     return ChurnReport(

@@ -119,7 +119,7 @@ def shard_storm(
         config,
         dataset=catalog,
         trace_path=trace_path,
-        sharding_factory=lambda _squirrel: grouped_router,
+        attach=grouped_router,
     )
     global_router = ShardRouter(
         global_plan,
@@ -134,7 +134,7 @@ def shard_storm(
         with_caches=True,
         catalog=catalog,
         arrivals=arrivals,
-        sharding_factory=lambda _squirrel: global_router,
+        attach=global_router,
     )
     grouped_tenants = grouped_router.tenant_stats()
     global_tenants = global_router.tenant_stats()

@@ -45,9 +45,7 @@ def make_squirrel(layout: str) -> Squirrel:
         )
     else:
         return squirrel
-    router = ShardRouter(plan)
-    squirrel.sharding = router
-    router.install(squirrel)
+    ShardRouter(plan).install(squirrel)
     return squirrel
 
 

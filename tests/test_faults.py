@@ -18,6 +18,7 @@ from repro.workload import (
     TimedSquirrel,
     boot_storm,
     register_churn,
+    shard_storm,
     steady_state_day,
 )
 
@@ -428,8 +429,9 @@ class TestFaultedStorm:
 
 
 class TestServedAccountingOnTimedRuns:
-    """Each storm side, the day run and the churn run cross-check the
-    bricks' served tallies against the ledger once the engine drains."""
+    """Each storm side, the shards run's global-domain side, the day run
+    and the churn run cross-check the bricks' served tallies against the
+    ledger once the engine drains."""
 
     @staticmethod
     def day():
@@ -448,6 +450,16 @@ class TestServedAccountingOnTimedRuns:
         ))
 
     @staticmethod
+    def shards():
+        # both grouped sides, then the global-domain side
+        return shard_storm(
+            faulted_storm_config(
+                faults=FaultPlan.parse("crash:compute1@5+30,brick:storage0@2+20")
+            ),
+            shards=2,
+        )
+
+    @staticmethod
     def churn():
         # the brick is down for the first four of the day's eight
         # registration-boot reads, up for the last four
@@ -459,11 +471,11 @@ class TestServedAccountingOnTimedRuns:
             )
         )
 
-    @pytest.mark.parametrize("run", ["storm", "day", "churn"])
+    @pytest.mark.parametrize("run", ["storm", "shards", "day", "churn"])
     def test_faulted_runs_pass(self, run):
         getattr(self, run)()
 
-    @pytest.mark.parametrize("run", ["storm", "day", "churn"])
+    @pytest.mark.parametrize("run", ["storm", "shards", "day", "churn"])
     def test_stray_read_record_trips_the_check(self, run, monkeypatch):
         # every brick read also books one byte nobody served, under the
         # read's own purpose (boot-read on a cold boot, registration-boot

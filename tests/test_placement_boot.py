@@ -11,6 +11,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.core import IaaSCluster, Squirrel
+from repro.core.cluster import compute_name
 from repro.placement import (
     PEER_REDIRECT_PURPOSE,
     SEED_PURPOSE,
@@ -18,9 +19,9 @@ from repro.placement import (
     PlacementSpec,
     build_coordinator,
 )
-from repro.net import GBE_1
 from repro.shard import ShardRouter, build_plan
 from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
+from repro.workload import StormConfig
 from repro.workload.rig import _build_rig
 
 SCALE = 1 / 1024
@@ -36,22 +37,26 @@ def dataset():
     return LazyImageCatalog(DatasetConfig(scale=SCALE))
 
 
-def coordinator_for(cluster, spec=None):
+def coordinator_for(spec=None, n_compute=N_COMPUTE):
     spec = spec or PlacementSpec(policy="top_k", top_k=1, replica_floor=2)
     context = PlacementContext(
-        nodes=tuple(node.name for node in cluster.compute),
+        nodes=tuple(compute_name(i) for i in range(n_compute)),
         popularity=POPULARITY,
     )
-    return build_coordinator(spec, cluster, context)
+    return build_coordinator(spec, context)
 
 
-def make_rig(dataset, spec=None):
+def bare_squirrel():
     cluster = IaaSCluster.build(
         n_compute=N_COMPUTE, n_storage=4, block_size=BLOCK
     )
     estimator = make_estimator("gzip6", (BLOCK,), samples_per_point=2)
-    squirrel = Squirrel(cluster=cluster, estimator=estimator)
-    squirrel.placement = coordinator_for(cluster, spec)
+    return Squirrel(cluster=cluster, estimator=estimator)
+
+
+def make_rig(dataset, spec=None):
+    squirrel = bare_squirrel()
+    coordinator_for(spec).install(squirrel)
     return squirrel
 
 
@@ -270,6 +275,15 @@ class TestReseed:
         )
 
 
+class TestInstall:
+    def test_fleet_mismatch_is_rejected(self):
+        squirrel = bare_squirrel()
+        coordinator = coordinator_for(n_compute=N_COMPUTE - 1)
+        with pytest.raises(ConfigError, match="does not match the cluster fleet"):
+            coordinator.install(squirrel)
+        assert squirrel.placement is None
+
+
 class TestShardingGuard:
     def test_sharding_and_placement_cannot_combine(self, dataset):
         squirrel = make_rig(dataset)
@@ -283,10 +297,11 @@ class TestTimedRegistration:
         """The timed rig models the paper's fleet-wide multicast only: a
         timed registration under a coordinator would charge a multicast
         that never happened, so it is refused before anything runs."""
+        config = StormConfig(
+            n_nodes=N_COMPUTE, n_storage=4, block_size=BLOCK, scale=SCALE
+        )
         rig = _build_rig(
-            n_compute=N_COMPUTE, n_storage=4, block_size=BLOCK, scale=SCALE,
-            link=GBE_1, seed=0, trace=False, dataset=dataset,
-            placement_factory=lambda squirrel: coordinator_for(squirrel.cluster),
+            config, seed=0, dataset=dataset, attach=coordinator_for()
         )
         with pytest.raises(ConfigError, match="not modelled"):
             rig.timed.register(dataset.specs[0])

@@ -16,8 +16,11 @@ from repro.workload import (
     flash_crowd_arrivals,
     poisson_arrivals,
     register_churn,
+    shard_storm,
     steady_state_day,
 )
+from repro.experiments import storm_timeline
+from repro.workload.rig import _Rig
 
 
 class TestTenantPopulation:
@@ -169,3 +172,51 @@ class TestScenarios:
             register_churn(
                 ChurnConfig(n_nodes=2, horizon_days=28.0, registrations_per_day=60.0)
             )
+
+
+class TestRigLifecycle:
+    """Every timed run ends in the rig's one checked drain: a storm drains
+    each side once, a sharded storm adds its global-domain side."""
+
+    DRIVERS = {
+        "storm": (lambda: boot_storm(SMALL_STORM), 2),
+        "shards": (lambda: shard_storm(SMALL_STORM, shards=2), 3),
+        "placement": (
+            lambda: storm_timeline.run_placement(
+                policy="top_k", nodes=4, vms_per_node=2
+            ),
+            2,
+        ),
+        "day": (
+            lambda: steady_state_day(
+                DayConfig(
+                    n_nodes=4, n_boots=20, n_initial_images=4,
+                    n_new_registrations=1, scale=1 / 1024,
+                )
+            ),
+            1,
+        ),
+        "churn": (
+            lambda: register_churn(
+                ChurnConfig(
+                    n_nodes=4, horizon_days=1.0, registrations_per_day=4.0,
+                    scale=1 / 1024,
+                )
+            ),
+            1,
+        ),
+    }
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_one_checked_drain_per_run(self, driver, monkeypatch):
+        run, expected = self.DRIVERS[driver]
+        phases = []
+        real = _Rig.run
+
+        def counting(rig, phase, fraction):
+            phases.append(phase)
+            return real(rig, phase, fraction)
+
+        monkeypatch.setattr(_Rig, "run", counting)
+        run()
+        assert len(phases) == expected, phases
