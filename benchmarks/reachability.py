@@ -66,11 +66,14 @@ COMMANDS = (
     "placement --nodes 8 --vms-per-node 2 --policy tenant_affine "
     "--transport multicast",
     "shards --nodes 8 --vms-per-node 2 --shards 2 --faults brick:storage0@3+15",
-    "shards --nodes 8 --vms-per-node 2 --shards 2 --grouping similarity",
+    "shards --nodes 8 --vms-per-node 2 --shards 2 --grouping similarity "
+    "--quota-mb 64",
     # past the 64-node metric detail cap: the "_fleet" gauges, sharded
     "shards --nodes 70 --vms-per-node 1 --shards 2 --faults crash:compute1@5+30",
     "day --nodes 4 --boots 40 --tenants 4 --faults crash:compute1@600+900",
     "churn --nodes 4 --days 1",
+    # long enough to scrape past the 4,096-row metrics ring
+    "churn --nodes 4 --days 90",
     'sweep churn --grid "seed=0,1" --set days=0.5 --workers 1 '
     "--out {tmp}/churn-store",
     'sweep placement --grid "policy=full,top_k" --set nodes=4 '

@@ -146,8 +146,9 @@ class Squirrel:
     #: bit-identical to one built inline — results never depend on it.
     catalog: object | None = None
     #: optional :class:`~repro.shard.ShardRouter` of a sharded experiment:
-    #: tenant accounting and the ``sharding`` report block. The cVolume
-    #: operations never consult it — they run on :attr:`cvolume`.
+    #: the tenant axis of the timed rig's metrics and the ``sharding``
+    #: report block. The cVolume operations never consult it — they run on
+    #: :attr:`cvolume`.
     sharding: object | None = None
     #: the shard plan, storage shards and per-shard snapshot chains; the
     #: default is the one-shard plan over ``scvol``/``ccvol``

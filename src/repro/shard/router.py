@@ -8,13 +8,18 @@ re-plans the cVolume into its :class:`~repro.shard.plan.ShardPlan` with a
 per-shard byte quota. The cVolume owns the shard datasets, the snapshot
 chains and the per-(node, shard) sync points; the router keeps only:
 
-* the plan choice, the quota and the per-shard ARC slice,
-* per-tenant boot/ARC tallies feeding the per-tenant hit-rate gauges and
-  the noisy-neighbor report block,
+* the plan choice and the per-shard quota (the timed rig sizes each
+  node's per-shard ARC slice from that quota),
+* the tenant list, the axis the rig pre-creates its tenant-labelled
+  metric children along,
 * the canonical ``sharding`` report block.
 
+Per-tenant boot and ARC facts live in the rig's ``squirrel_tenant_*``
+counters, their one store; the ``shards`` experiment reads its tenant
+blocks off them.
+
 A one-shard router keeps the existing scVolume/ccVolume datasets and the
-global DDT: only quota enforcement and tenant accounting on top. That is
+global DDT: only quota enforcement and the tenant axis on top. That is
 the "global domain with quota" contrast side of the ``shards`` experiment.
 """
 
@@ -27,27 +32,22 @@ __all__ = ["ShardRouter"]
 
 
 class ShardRouter:
-    """Plan, quota and tenant accounting of a sharded cVolume."""
+    """Plan, quota and tenant axis of a sharded cVolume."""
 
     def __init__(
         self,
         plan: ShardPlan,
         *,
         quota_bytes: int = 0,
-        arc_bytes_per_shard: int | None = None,
         tenants: tuple[int, ...] = (),
     ) -> None:
         self.plan = plan
         self.quota_bytes = int(quota_bytes)
-        #: per-shard ARC slice for TimedSquirrel's per-node caches; ``None``
-        #: falls back to an even split of the node budget
-        self.arc_bytes_per_shard = arc_bytes_per_shard
         #: known tenant ids (lets the rig pre-create per-tenant metric
         #: children so expositions cover every tenant from the first scrape)
         self.tenants = tuple(int(t) for t in tenants)
         #: the re-planned cVolume, set by :meth:`install`
         self.cvolume = None
-        self._tenants: dict[int, dict[str, int]] = {}
 
     def install(self, squirrel) -> None:
         """Attach to ``squirrel`` as its ``sharding`` and re-plan its
@@ -66,46 +66,6 @@ class ShardRouter:
             self.plan, quota_bytes=self.quota_bytes
         )
         squirrel.sharding = self
-
-    # -- tenant accounting ----------------------------------------------------
-
-    def _tenant(self, tenant_id: int) -> dict[str, int]:
-        entry = self._tenants.get(tenant_id)
-        if entry is None:
-            entry = self._tenants[tenant_id] = {
-                "boots": 0,
-                "cache_hits": 0,
-                "arc_hits": 0,
-                "arc_misses": 0,
-            }
-        return entry
-
-    def note_tenant_boot(self, tenant_id: int, cache_hit: bool) -> None:
-        entry = self._tenant(tenant_id)
-        entry["boots"] += 1
-        if cache_hit:
-            entry["cache_hits"] += 1
-
-    def note_tenant_arc(self, tenant_id: int, hits: int, misses: int) -> None:
-        entry = self._tenant(tenant_id)
-        entry["arc_hits"] += hits
-        entry["arc_misses"] += misses
-
-    def tenant_hit_rate(self, tenant_id: int) -> float:
-        entry = self._tenants.get(tenant_id)
-        if not entry:
-            return 0.0
-        lookups = entry["arc_hits"] + entry["arc_misses"]
-        return entry["arc_hits"] / lookups if lookups else 0.0
-
-    def tenant_stats(self) -> dict[int, dict]:
-        """Per-tenant tallies plus the derived ARC hit rate."""
-        out: dict[int, dict] = {}
-        for tenant_id in sorted(self._tenants):
-            entry = dict(self._tenants[tenant_id])
-            entry["hit_rate"] = self.tenant_hit_rate(tenant_id)
-            out[tenant_id] = entry
-        return out
 
     # -- reporting ------------------------------------------------------------
 

@@ -42,6 +42,8 @@ MiB = 1 << 20
 #: a tenant must have booted at least this often (grouped side) to qualify
 #: as the victim — one-boot tenants have degenerate hit rates
 VICTIM_MIN_BOOTS = 3
+#: the per-tenant counter facts a side's tenant block reads
+TENANT_FACTS = ("boots", "cache_hits", "arc_hits", "arc_misses")
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,32 @@ class ShardStormOutcome(ReportBase):
     sharding: dict  #: grouped/global router blocks + victim
 
 
+def _tenant_block(metrics: dict) -> dict[str, dict]:
+    """One side's per-tenant counts, read off the ``squirrel_tenant_*``
+    counters of its exported ``metrics`` block: every tenant that booted,
+    keyed by its ``tNN`` label, with its lifetime ARC hit rate."""
+    families = {family["name"]: family for family in metrics["instruments"]}
+    counts: dict[str, dict] = {}
+    for fact in TENANT_FACTS:
+        for sample in families[f"squirrel_tenant_{fact}_total"]["samples"]:
+            entry = counts.setdefault(sample["labels"]["tenant"], {})
+            entry[fact] = int(sample["value"])
+    tenants = {}
+    for label, entry in counts.items():
+        if entry["boots"] < 1:
+            continue
+        lookups = entry["arc_hits"] + entry["arc_misses"]
+        entry["hit_rate"] = entry["arc_hits"] / lookups if lookups else 0.0
+        tenants[label] = entry
+    return tenants
+
+
 def _victim(grouped: dict, global_: dict) -> dict:
     """The tenant isolation helped most: max grouped−global ARC hit-rate
     delta among tenants with enough grouped boots (lowest id on ties)."""
     best_id = None
     best_delta = 0.0
-    for tenant_id, entry in sorted(grouped.items()):
+    for tenant_id, entry in grouped.items():
         if entry["boots"] < VICTIM_MIN_BOOTS:
             continue
         other = global_.get(tenant_id)
@@ -71,7 +93,7 @@ def _victim(grouped: dict, global_: dict) -> dict:
                 "global_hit_rate": 0.0, "delta": 0.0}
     other = global_.get(best_id)
     return {
-        "tenant": int(best_id),
+        "tenant": int(best_id[1:]),
         "grouped_hit_rate": grouped[best_id]["hit_rate"],
         "global_hit_rate": other["hit_rate"] if other else 0.0,
         "delta": best_delta,
@@ -90,9 +112,11 @@ def shard_storm(
 
     ``quota_mb`` is the **per-shard** cVolume quota in paper-scale MiB (0
     disables eviction); the global contrast side gets ``shards × quota_mb``
-    — the same aggregate budget, unpartitioned. The per-shard ARC slice on
-    every node follows the quota (or an even split when unquota'd), and the
-    global side's single slice is again the exact sum.
+    — the same aggregate budget, unpartitioned. The timed rig sizes every
+    node's per-shard ARC slice from that quota (or splits the node budget
+    evenly when unquota'd), so the global side's single slice is again the
+    exact sum. Each side's ``tenants`` block, and so the victim, is read
+    off that side's exported tenant counters.
     """
     if shards < 2:
         raise ConfigError("shard_storm needs >= 2 shards (1 is the plain storm)")
@@ -103,17 +127,12 @@ def shard_storm(
     owners = tuple(int(t) for t in arrivals.population.image_owners())
     shard_plan = build_plan(specs, shards, grouping, owners=owners)
     global_plan = build_plan(specs, 1, grouping, owners=owners)
-    # quotas: the storage datasets hold size-scaled bytes, the node ARCs
-    # charge paper-scale bytes — convert once here, at the boundary
+    # the storage datasets hold size-scaled bytes
     quota_scaled = int(quota_mb * MiB * config.scale)
-    arc_slice = quota_mb * MiB if quota_mb > 0 else None
     tenants = tuple(range(config.n_tenants))
 
     grouped_router = ShardRouter(
-        shard_plan,
-        quota_bytes=quota_scaled,
-        arc_bytes_per_shard=arc_slice,
-        tenants=tenants,
+        shard_plan, quota_bytes=quota_scaled, tenants=tenants
     )
     report = boot_storm(
         config,
@@ -122,12 +141,7 @@ def shard_storm(
         attach=grouped_router,
     )
     global_router = ShardRouter(
-        global_plan,
-        quota_bytes=quota_scaled * shards,
-        arc_bytes_per_shard=(
-            arc_slice * shards if arc_slice is not None else None
-        ),
-        tenants=tenants,
+        global_plan, quota_bytes=quota_scaled * shards, tenants=tenants
     )
     global_side, _tracer = _run_storm_side(
         config,
@@ -136,23 +150,17 @@ def shard_storm(
         arrivals=arrivals,
         attach=global_router,
     )
-    grouped_tenants = grouped_router.tenant_stats()
-    global_tenants = global_router.tenant_stats()
     grouped_block = grouped_router.shard_block()
-    grouped_block["tenants"] = {
-        f"t{t:02d}": entry for t, entry in grouped_tenants.items()
-    }
+    grouped_block["tenants"] = _tenant_block(report.squirrel.metrics)
     global_block = global_router.shard_block()
-    global_block["tenants"] = {
-        f"t{t:02d}": entry for t, entry in global_tenants.items()
-    }
+    global_block["tenants"] = _tenant_block(global_side.metrics)
     sharding = {
         "shards": shards,
         "grouping": grouping,
         "quota_mb": quota_mb,
         "grouped": grouped_block,
         "global": global_block,
-        "victim": _victim(grouped_tenants, global_tenants),
+        "victim": _victim(grouped_block["tenants"], global_block["tenants"]),
     }
     return ShardStormOutcome(
         report=report, global_side=global_side, sharding=sharding

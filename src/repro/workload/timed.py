@@ -83,7 +83,9 @@ LATENCY_BUCKETS = (
 #: (the paper's 64-node cluster): beyond it, counters fold into a "_other"
 #: series (fleet sums stay exact) and per-node gauges are replaced by one
 #: "_fleet" aggregate. Without the cap a 10k-node storm is quadratic in the
-#: sampler — O(nodes) series per scrape times an O(nodes) horizon.
+#: sampler — O(nodes) series per scrape times an O(nodes) horizon. Only the
+#: node axis grows with the fleet: the tenant axis (``StormConfig.n_tenants``)
+#: and the shard axis are never capped.
 METRICS_NODE_DETAIL = 64
 
 
@@ -163,6 +165,13 @@ def _arc_hit_rate(slices) -> float:
         stats = arc.stats
         hits += stats.hits
         lookups += stats.hits + stats.misses
+    return hits / lookups if lookups else 0.0
+
+
+def _hit_rate(children) -> float:
+    """Hits over lookups of a (hits, misses) counter-child pair."""
+    hits, misses = (child.value for child in children)
+    lookups = hits + misses
     return hits / lookups if lookups else 0.0
 
 
@@ -440,8 +449,10 @@ INSTRUMENTS: tuple[Instrument, ...] = (
     _gauge("squirrel_tenant_hit_rate", TENANT,
            "Lifetime per-tenant ARC hit rate (the noisy-neighbor SLO)",
            gate=SHARDING,
-           source=lambda t, tenant: partial(
-               t.squirrel.sharding.tenant_hit_rate, t._tenant_ids[tenant])),
+           source=lambda t, tenant: tuple(
+               t.metrics.family(f"squirrel_tenant_arc_{what}_total")
+               .labels(tenant=tenant) for what in ("hits", "misses")),
+           value=_hit_rate),
     _gauge("zfs_shard_arc_resident_bytes", NODE_SHARD,
            "Bytes resident in one shard's ARC slice (paper-scale)", gate=SHARDING,
            source=lambda t, node, shard: t.arcs[node][shard],
@@ -538,13 +549,16 @@ class TimedSquirrel:
         }
         #: per-node in-memory ARC over cVolume blocks (decompressed records,
         #: charged at paper-scale bytes); a node crash wipes it. Each node's
-        #: ARC is partitioned per shard (the router's slice when a quota is
-        #: set, else an even split of the node budget) so one tenant's churn
-        #: cannot evict another shard's residents; one shard is one slice
-        #: holding the whole budget.
+        #: ARC is partitioned per shard (the shard's cVolume quota, scaled
+        #: up, when one is set, else an even split of the node budget) so
+        #: one tenant's churn cannot evict another shard's residents; one
+        #: shard is one slice holding the whole budget.
         plan = squirrel.cvolume.plan
-        per_shard = getattr(squirrel.sharding, "arc_bytes_per_shard", None)
-        per_shard = per_shard or max(1, ARC_BYTES_PER_NODE // plan.n_shards)
+        quota = squirrel.cvolume.scvol.quota_bytes
+        per_shard = (
+            int(self.scale_up(quota)) if quota
+            else max(1, ARC_BYTES_PER_NODE // plan.n_shards)
+        )
         #: node name -> shard -> that shard's slice of the node's ARC
         self.arcs: dict[str, dict[str, AdaptiveReplacementCache]] = {
             node.name: {
@@ -572,34 +586,28 @@ class TimedSquirrel:
         series for the first ``METRICS_NODE_DETAIL`` nodes only; the rest
         share a "_other" counter child and a "_fleet" aggregate gauge, so
         the scrape cost is bounded while fleet-wide sums stay exact. The
-        tenant axis of a sharded rig is capped the same way (with no gauge
-        series past the cap). Placement and sharding rows exist only when
-        a coordinator or router is attached, so a rig without them exports
+        tenant axis of a sharded rig is not capped: it is bounded by the
+        router's tenant list, not by the fleet, so every tenant keeps exact
+        counters of its own, which the ``shards`` experiment reads its
+        tenant blocks off. Placement and sharding rows exist only when a
+        coordinator or router is attached, so a rig without them exports
         what it did before either existed; the fault injector declares its
         own gate when it attaches.
         """
         cluster = self.squirrel.cluster
         names = [node.name for node in cluster.compute]
-        tenant_ids = [int(t) for t in getattr(self.squirrel.sharding, "tenants", ())]
-        #: detail tenant label -> tenant id
-        self._tenant_ids = {
-            f"t{t:02d}": t for t in tenant_ids[:METRICS_NODE_DETAIL]
-        }
+        tenants = getattr(self.squirrel.sharding, "tenants", ())
         #: axis -> the label values children are pre-created along
         self._axes: dict[str, list[str]] = {
             "node": names[:METRICS_NODE_DETAIL],
-            "tenant": list(self._tenant_ids),
+            "tenant": [f"t{t:02d}" for t in tenants],
             "shard": list(self.squirrel.cvolume.plan.names),
             "pool": [cluster.storage.pool.name],
             "storage": list(self.brick),
         }
         self._node_detail = frozenset(self._axes["node"])
         #: axes past the detail cap: counters fold into an "_other" child
-        self._folded = {
-            axis
-            for axis, n in (("node", len(names)), ("tenant", len(tenant_ids)))
-            if n > len(self._axes[axis])
-        }
+        self._folded = {"node"} if len(names) > METRICS_NODE_DETAIL else set()
         #: fact -> bound (Timeline key, family, fixed labels, free labels,
         #: scaled, label picker, picked labels -> child) sinks; a fact of a
         #: closed gate has none
@@ -675,10 +683,10 @@ class TimedSquirrel:
     def record(self, fact: str, n: float = 1, *, node: str | None = None,
                tenant: int | None = None, shard: str | None = None) -> None:
         """Record ``n`` of one fact on every sink its table rows bind: the
-        Timeline counter and the labelled metric child, with node and
-        tenant labels folded past the detail cap. A row needing a label the
-        call leaves unset (a boot with no tenant) is skipped; a fact of a
-        gate that is not attached records nothing."""
+        Timeline counter and the labelled metric child, with node labels
+        folded past the detail cap. A row needing a label the call leaves
+        unset (a boot with no tenant) is skipped; a fact of a gate that is
+        not attached records nothing."""
         given = (node, tenant, shard)
         for key, family, fixed, free, scaled, pick, children in self._sinks[fact]:
             if key is not None:
@@ -711,13 +719,12 @@ class TimedSquirrel:
                 family.observe(seconds)
 
     def _fold(self, label: str, value):
-        """Metric label value: a node's own name (a tenant's ``tNN``) inside
-        the detail set, the shared "_other" child beyond it."""
+        """Metric label value: a node's own name inside the detail set, the
+        shared "_other" child beyond it; a tenant's ``tNN``."""
         if label == "node":
             return value if value in self._node_detail else "_other"
         if label == "tenant":
-            value = f"t{value:02d}"
-            return value if value in self._tenant_ids else "_other"
+            return f"t{value:02d}"
         return value
 
     def _fleet_totals(self) -> tuple:
@@ -775,8 +782,8 @@ class TimedSquirrel:
              tenant: int | None = None):
         """One timed VM boot; observes ``boot_latency_s`` (and, when a fault
         got in the way, ``recovery_s``). Registered with the in-flight
-        registry so the fault injector can preempt it. ``tenant`` feeds the
-        per-tenant accounting of a sharded rig and is ignored otherwise."""
+        registry so the fault injector can preempt it. ``tenant`` labels the
+        per-tenant counters of a sharded rig and is ignored otherwise."""
         handle = _InflightBoot(node_name)
         process = self.engine.process(
             self._boot(image_id, node_name, force_cold, handle, tenant),
@@ -834,9 +841,6 @@ class TimedSquirrel:
             node=node_name, tenant=tenant,
         )
         self.observe("boot_latency_s", engine.now - t0)
-        sharding = self.squirrel.sharding
-        if sharding is not None and tenant is not None:
-            sharding.note_tenant_boot(tenant, cache_hit)
         bt.att.observe(self.timeline)
         bt.root.end(
             cache_hit=cache_hit, interrupts=interrupts, **bt.att.buckets
@@ -914,9 +918,6 @@ class TimedSquirrel:
             self.record(
                 f"arc_{key}", n, node=node_name, shard=chain.name, tenant=tenant
             )
-        sharding = self.squirrel.sharding
-        if sharding is not None and tenant is not None:
-            sharding.note_tenant_arc(tenant, delta["hits"], delta["misses"])
         self.timeline.gauge(f"arc_p:{node_name}", _arc_p(slices.values()))
         self.timeline.gauge(
             f"arc_resident:{node_name}", _arc_resident(slices.values())
@@ -998,18 +999,22 @@ class TimedSquirrel:
         span = bt.child(
             "nic.transfer", parent=redirect, n_bytes=total, role="peer"
         )
-        yield from self._fetch(
-            node_name, total, redirect,
-            [(peer_name, self.nic[peer_name], total, span)], handle, bt,
-            role="reader",
-        )
-        if outcome.adopted:
-            adopt = bt.child(
-                "placement.adopt", image_id=outcome.image_id, n_bytes=total
+        try:
+            yield from self._fetch(
+                node_name, total, redirect,
+                [(peer_name, self.nic[peer_name], total, span)], handle, bt,
+                role="reader",
             )
-            self.record("adoptions", node=node_name)
-            self.record("adopted_bytes", outcome.network_bytes)
-            adopt.end()
+        finally:
+            if outcome.adopted:
+                # boot_with_plan already adopted: a fetch a fault kills
+                # still counts, as the retry warm-reads the adopted cache
+                self.record("adoptions", node=node_name)
+                self.record("adopted_bytes", outcome.network_bytes)
+        if outcome.adopted:
+            bt.child(
+                "placement.adopt", image_id=outcome.image_id, n_bytes=total
+            ).end()
 
     def _fetch(self, node_name: str, total: int, parent, sources, handle, bt,
                **reader):

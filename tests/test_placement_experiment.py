@@ -83,6 +83,29 @@ class TestPartialPolicies:
         assert "full (ref)" in text
 
 
+class TestAdoptionAccounting:
+    @pytest.mark.parametrize("seed", [4, 6])
+    def test_rig_counts_every_coordinator_adoption(self, seed):
+        """The coordinator adopts before the fetch starts, so an adoption
+        whose fetch a crash kills (the retry warm-reads the adopted cache)
+        must still reach the rig's counter and Timeline. At these seeds
+        one adoption's fetch is killed."""
+        result = storm_timeline.run_placement(
+            policy="top_k", nodes=8, vms_per_node=4, adopt_budget_mb=64,
+            faults="crash:compute1@5+30", seed=seed,
+        )
+        side = result.report.squirrel
+        by_name = {f["name"]: f for f in side.metrics["instruments"]}
+        counted = sum(
+            s["value"]
+            for s in by_name["placement_adoptions_total"]["samples"]
+        )
+        adoptions = result.placement["adoptions"]
+        assert adoptions > 0
+        assert counted == adoptions
+        assert side.summary["counters"]["adoptions"] == adoptions
+
+
 class TestTracePopulation:
     def test_top_k_hoards_the_trace_populations_hottest_images(
         self, monkeypatch

@@ -11,15 +11,39 @@ from repro.experiments import registry, storm_timeline
 from repro.experiments.params import validate_params
 from repro.metrics import Sampler
 from repro.sweep import SweepSpec, run_sweep
-from repro.workload import timed
+from repro.vmi import catalog_at
+from repro.workload import StormConfig, storm_arrivals, timed
+from repro.workload.sharding import TENANT_FACTS, shard_storm
 
 #: small enough for unit tests, large enough for tenants to collide
 SMALL = {"nodes": 8, "vms_per_node": 2}
+MiB = 1 << 20
 
 
 @pytest.fixture(scope="module")
 def sharded():
     return storm_timeline.run_shards(shards=4, grouping="tenant", quota_mb=256, **SMALL)
+
+
+@pytest.fixture(scope="module")
+def outcome():
+    """The workload-level run behind ``sharded``, which keeps both sides'
+    metrics blocks."""
+    config = StormConfig.from_params(**SMALL)
+    return shard_storm(config, shards=4, grouping="tenant", quota_mb=256)
+
+
+def _rigs_of(monkeypatch) -> list:
+    """Collect every TimedSquirrel built while the test runs."""
+    rigs = []
+    raw_init = timed.TimedSquirrel.__init__
+
+    def init(self, *args, **kwargs):
+        raw_init(self, *args, **kwargs)
+        rigs.append(self)
+
+    monkeypatch.setattr(timed.TimedSquirrel, "__init__", init)
+    return rigs
 
 
 class TestRegistration:
@@ -74,15 +98,10 @@ class TestNodeArcSlices:
         gauges past the detail cap are the sums over every node (per shard
         too, over the shard's own dedup domain or the global DDT), and a
         warm read touches only the slice of its image's shard."""
-        rigs, reads = [], []
+        rigs, reads = _rigs_of(monkeypatch), []
         scraped = {"nodes": 0, "multi_slice": 0, "fleet": 0}
-        raw_init = timed.TimedSquirrel.__init__
         raw_warm_read = timed.TimedSquirrel._warm_read
         raw_scrape = Sampler.scrape
-
-        def init(self, *args, **kwargs):
-            raw_init(self, *args, **kwargs)
-            rigs.append(self)
 
         def warm_read(self, image_id, node_name, bt, tenant=None):
             slices = self.arcs[node_name]
@@ -143,7 +162,6 @@ class TestNodeArcSlices:
             scraped["fleet"] += 1
 
         monkeypatch.setattr(timed, "METRICS_NODE_DETAIL", 2)
-        monkeypatch.setattr(timed.TimedSquirrel, "__init__", init)
         monkeypatch.setattr(timed.TimedSquirrel, "_warm_read", warm_read)
         monkeypatch.setattr(Sampler, "scrape", scrape)
         storm_timeline.run_shards(shards=3, nodes=4, vms_per_node=6)
@@ -181,6 +199,41 @@ class TestShardingBlock:
         boots = sum(entry["boots"] for entry in grouped.values())
         assert boots == sharded.report.squirrel.boots
 
+    @pytest.mark.parametrize("side", ["grouped", "global"])
+    def test_tenant_entries_are_the_counter_children(self, outcome, side):
+        """Each side's tenant block lists exactly the tenants its
+        ``squirrel_tenant_boots_total`` children saw boot, with that side's
+        counter values and the hit-rate gauge's last sample."""
+        storm_side = (
+            outcome.report.squirrel if side == "grouped" else outcome.global_side
+        )
+        metrics = storm_side.metrics
+        by_name = {f["name"]: f for f in metrics["instruments"]}
+        children = {
+            fact: {
+                s["labels"]["tenant"]: s["value"]
+                for s in by_name[f"squirrel_tenant_{fact}_total"]["samples"]
+            }
+            for fact in TENANT_FACTS
+        }
+        last_rate = {
+            series["labels"]["tenant"]: series["v"][-1]
+            for series in metrics["series"]
+            if series["name"] == "squirrel_tenant_hit_rate"
+        }
+        tenants = outcome.sharding[side]["tenants"]
+        assert set(tenants) == {
+            label for label, n in children["boots"].items() if n >= 1
+        }
+        assert sum(entry["boots"] for entry in tenants.values()) == (
+            storm_side.boots
+        )
+        for label, entry in tenants.items():
+            for fact in TENANT_FACTS:
+                assert entry[fact] == children[fact][label]
+                assert isinstance(entry[fact], int)
+            assert entry["hit_rate"] == last_rate[label]
+
     def test_victim_is_consistent(self, sharded):
         victim = sharded.sharding["victim"]
         assert victim["tenant"] is not None
@@ -190,6 +243,28 @@ class TestShardingBlock:
         key = f"t{victim['tenant']:02d}"
         grouped = sharded.sharding["grouped"]["tenants"][key]
         assert grouped["hit_rate"] == victim["grouped_hit_rate"]
+
+    @pytest.mark.parametrize("quota_mb", [64, 0])
+    def test_arc_slices_follow_the_quota(self, monkeypatch, quota_mb):
+        """Every grouped slice is the per-shard quota, the global side's
+        one slice the sum over the shards; unquota'd, each slice is an even
+        split of the node budget (one slice holds it all)."""
+        rigs = _rigs_of(monkeypatch)
+        storm_timeline.run_shards(shards=3, quota_mb=quota_mb, **SMALL)
+        sharded_rigs = [r for r in rigs if r.squirrel.sharding is not None]
+        assert len(sharded_rigs) == 2  # grouped, then global
+        sizes = [
+            {arc.capacity for arcs in r.arcs.values() for arc in arcs.values()}
+            for r in sharded_rigs
+        ]
+        if quota_mb:
+            expected = [{quota_mb * MiB}, {3 * quota_mb * MiB}]
+        else:
+            expected = [
+                {timed.ARC_BYTES_PER_NODE // 3}, {timed.ARC_BYTES_PER_NODE}
+            ]
+        assert sizes == expected
+        assert [len(next(iter(r.arcs.values()))) for r in sharded_rigs] == [3, 1]
 
     def test_global_side_summary(self, sharded):
         side = sharded.global_side
@@ -209,25 +284,31 @@ class TestShardingBlock:
 
 class TestDetailCapFold:
     def test_shard_and_tenant_families_fold(self, monkeypatch):
-        """With the detail cap below the fleet/tenant count, labelled
-        shard families keep exact sums through ``_other``/``_fleet``
-        children instead of one series per node or tenant."""
+        """With the detail cap below the fleet count, labelled shard
+        families keep exact sums through ``_other``/``_fleet`` children
+        instead of one series per node. The tenant axis is bounded by the
+        tenant list, not the fleet: it keeps one child per tenant, and the
+        grouped tenant block lists every tenant that booted."""
         monkeypatch.setattr(timed, "METRICS_NODE_DETAIL", 2)
         result = storm_timeline.run_shards(shards=2, quota_mb=64, **SMALL)
         side = result.report.squirrel
         by_name = {f["name"]: f for f in side.metrics["instruments"]}
 
-        tenants = {
-            s["labels"]["tenant"]
-            for s in by_name["squirrel_tenant_boots_total"]["samples"]
-        }
-        assert "_other" in tenants
-        assert len(tenants) == 3  # 2 detail tenants + the fold child
+        every_tenant = {f"t{t:02d}" for t in range(result.config.n_tenants)}
+        for family in (
+            *(f"squirrel_tenant_{fact}_total" for fact in TENANT_FACTS),
+            "squirrel_tenant_hit_rate",
+        ):
+            labels = [s["labels"]["tenant"] for s in by_name[family]["samples"]]
+            assert len(labels) == 32 and set(labels) == every_tenant
         boots = sum(
             s["value"]
             for s in by_name["squirrel_tenant_boots_total"]["samples"]
         )
         assert boots == side.boots
+        arrivals = storm_arrivals(result.config, catalog_at(result.config.scale))
+        booted = {f"t{tenant:02d}" for *_, tenant in arrivals.plan}
+        assert set(result.sharding["grouped"]["tenants"]) == booted
 
         arc_nodes = {
             s["labels"]["node"]
@@ -241,12 +322,6 @@ class TestDetailCapFold:
         }
         assert "_fleet" in resident_nodes
         assert len(resident_nodes) == 3  # 2 detail nodes + fleet aggregate
-        # the tenant hit-rate gauge only carries detail children
-        rates = {
-            s["labels"]["tenant"]
-            for s in by_name["squirrel_tenant_hit_rate"]["samples"]
-        }
-        assert len(rates) == 2 and "_other" not in rates
 
     def test_small_fleets_uncapped(self, sharded):
         side = sharded.report.squirrel
