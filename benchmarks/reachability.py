@@ -65,6 +65,10 @@ COMMANDS = (
     "--transport unicast --adopt-budget-mb 64 --json",
     "placement --nodes 8 --vms-per-node 2 --policy tenant_affine "
     "--transport multicast",
+    # one holder per image and the whole fleet down: origin fallbacks
+    "placement --nodes 4 --vms-per-node 4 --policy top_k --top-k 2 "
+    "--replicas 1 --faults crash:compute0@1+60,crash:compute1@1+60,"
+    "crash:compute2@1+60,crash:compute3@1+60",
     "shards --nodes 8 --vms-per-node 2 --shards 2 --faults brick:storage0@3+15",
     "shards --nodes 8 --vms-per-node 2 --shards 2 --grouping similarity "
     "--quota-mb 64",

@@ -35,23 +35,15 @@ def compute_name(index: int) -> str:
 class ComputeNode:
     """One compute node: NIC + (possibly shared) pool with the ccVolume.
 
-    The node's pool lives behind a :class:`~repro.core.replica.Replica` —
-    nodes with identical operation histories share one flyweight pool
-    (see :mod:`repro.core.replica`). Constructing a node around a raw
-    :class:`~repro.zfs.ZPool` still works: it is wrapped in a private
-    single-referent replica, which behaves exactly like the historical
-    pool-per-node layout.
+    The node's pool lives behind a :class:`~repro.core.replica.Replica`
+    of its cluster's :class:`~repro.core.replica.ReplicaStore` — nodes
+    with identical operation histories share one flyweight pool (see
+    :mod:`repro.core.replica`).
     """
 
     node: Node
     replica: Replica
     online: bool = True
-
-    def __post_init__(self) -> None:
-        if isinstance(self.replica, ZPool):
-            wrapped = Replica(self.replica)
-            wrapped.refs = 1
-            self.replica = wrapped
 
     @property
     def name(self) -> str:
@@ -99,8 +91,8 @@ class IaaSCluster:
     storage: StorageTier
     ledger: TransferLedger
     #: interning table for the compute nodes' shared ccVolume replicas;
-    #: ``None`` on hand-built clusters (every node keeps a private pool)
-    replicas: ReplicaStore | None = None
+    #: every ccVolume mutation goes through it
+    replicas: ReplicaStore
     #: name → node index; once workloads schedule per-node events, node()
     #: is on the hot path and a linear scan would be O(n) per event
     _by_name: dict[str, ComputeNode] = field(default_factory=dict)

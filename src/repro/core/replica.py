@@ -160,28 +160,16 @@ class ReplicaStore:
 
 
 def apply_to_nodes(
-    store: ReplicaStore | None,
+    store: ReplicaStore,
     nodes: Iterable,
     token: Token,
     mutate: Callable[[ZPool], None],
     *,
     when: Callable[[ZPool], bool] | None = None,
 ) -> None:
-    """Apply an op through the store, or directly for store-less nodes.
+    """Apply one ccVolume op to ``nodes`` through their cluster's store.
 
-    Clusters assembled by :meth:`IaaSCluster.build` carry a store; hand
-    -built ones (tests constructing ``ComputeNode`` around a raw pool)
-    fall back to mutating each distinct replica in place — with one
-    replica per node that is exactly the historical behaviour.
+    Every ccVolume mutation is one call here, so a run's replica work can
+    be counted and timed at one seam.
     """
-    if store is not None:
-        store.apply(nodes, token, mutate, when=when)
-        return
-    seen: set[int] = set()
-    for node in nodes:
-        replica = node.replica
-        if id(replica) in seen:
-            continue
-        seen.add(id(replica))
-        if when is None or when(replica.pool):
-            mutate(replica.pool)
+    store.apply(nodes, token, mutate, when=when)

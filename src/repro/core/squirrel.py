@@ -189,8 +189,9 @@ class Squirrel:
                     domain=chain.domain,
                 )
 
-        self._apply_replica(
-            self.cluster.compute, ("shardinit",) + plan.names, init,
+        apply_to_nodes(
+            self.cluster.replicas, self.cluster.compute,
+            ("shardinit",) + plan.names, init,
             when=lambda pool: not pool.has_dataset(chains[0].cc_name),
         )
         self.cvolume = cvolume
@@ -316,20 +317,13 @@ class Squirrel:
     def _receive(self, nodes, chain: ShardChain, stream: SendStream) -> None:
         """Apply one send stream to ``nodes``' replicas of ``chain``."""
         cc = chain.cc_name
-        self._apply_replica(
-            nodes,
+        apply_to_nodes(
+            self.cluster.replicas, nodes,
             ("recv", chain.name, stream.from_snapshot, stream.to_snapshot),
             lambda pool: receive(pool.dataset(cc), stream),
         )
         for node in nodes:
             chain.synced[node.name] = stream.to_snapshot
-
-    def _apply_replica(self, nodes, token, mutate, *, when=None) -> None:
-        """Route one ccVolume mutation through the cluster's replica store."""
-        apply_to_nodes(
-            getattr(self.cluster, "replicas", None), nodes, token, mutate,
-            when=when,
-        )
 
     # -- boot (Section 3.3) ------------------------------------------------------------
 
@@ -388,7 +382,6 @@ class Squirrel:
                     ),
                     [],
                 )
-            self.placement.record_origin_fallback()
         # cold path: QCOW2 cluster-granular reads of the boot set over the net
         moved, plan = cold_read(self.cluster.storage.gluster, spec, node_name)
         return (
@@ -447,8 +440,8 @@ class Squirrel:
     def _destroy_snapshot(self, nodes, chain: ShardChain, name: str) -> None:
         """Drop snapshot ``name`` of ``chain`` from the nodes holding it."""
         cc = chain.cc_name
-        self._apply_replica(
-            nodes,
+        apply_to_nodes(
+            self.cluster.replicas, nodes,
             ("gcsnap", chain.name, name),
             lambda pool: pool.dataset(cc).destroy_snapshot(name),
             when=lambda pool: pool.has_dataset(cc)
@@ -549,7 +542,7 @@ class Squirrel:
                 domain=chain.domain,
             )
 
-        self._apply_replica([node], ("reset", chain.name), reset)
+        apply_to_nodes(self.cluster.replicas, [node], ("reset", chain.name), reset)
         chain.synced[node.name] = None
 
     # -- introspection -------------------------------------------------------------------

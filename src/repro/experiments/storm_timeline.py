@@ -383,24 +383,21 @@ class PlacementResult(ReportBase):
 
 
 def _full_baseline_tallies(catalog, config: StormConfig, n_images: int) -> dict:
-    """The coordinator-shaped tally block ``policy=full`` implies.
+    """The coordinator-shaped plan tallies ``policy=full`` implies.
 
     Full replication runs without a coordinator (that is what keeps its
     report byte-identical to the storm baseline), so its hoard/seed figures
     are derived analytically: every node holds every cache, seeding ingests
-    one cache per node per image, and no boot is ever redirected.
+    one cache per node per image, and no adoption budget is spent. Its
+    boot-time facts come from the rig, as every policy's do.
     """
     cache_total = sum(spec.cache_bytes for spec in catalog.specs[:n_images])
     return {
         "adopted_bytes": 0,
-        "adoptions": 0,
         "hoarded_bytes": cache_total * config.n_nodes,
         "hoarded_replicas": n_images * config.n_nodes,
         "images_tracked": n_images,
-        "origin_fallbacks": 0,
-        "peer_redirects": 0,
         "policy": "full",
-        "redirect_bytes": 0,
         "reseed_bytes": 0,
         "seed_duration_s": 0.0,
         "seed_origin_bytes": cache_total,
@@ -413,11 +410,21 @@ def _full_baseline_tallies(catalog, config: StormConfig, n_images: int) -> dict:
 
 def _placement_block(tallies: dict, catalog, config: StormConfig,
                      n_images: int, report: StormReport) -> dict:
-    """The report's ``placement`` block: tallies + derived tradeoff axes."""
+    """The report's ``placement`` block: the plan's tallies, the boot-time
+    facts the Squirrel side's rig counted, and derived tradeoff axes.
+
+    The rig is the one store of boot-time facts: redirects, redirected
+    (scaled) bytes, origin fallbacks and adoptions are read from the
+    side's Timeline counters, and a fact never recorded (any fact, under
+    ``policy=full``) reads 0.
+    """
     cache_total = sum(spec.cache_bytes for spec in catalog.specs[:n_images])
     full_hoarded = cache_total * config.n_nodes
     side = report.squirrel
+    counters = side.summary["counters"]
     block = dict(tallies)
+    for fact in ("adoptions", "origin_fallbacks", "peer_redirects", "redirect_bytes"):
+        block[fact] = counters.get(fact, 0)
     block["full_hoarded_bytes"] = full_hoarded
     block["hoarded_fraction"] = (
         block["hoarded_bytes"] / full_hoarded if full_hoarded else 0.0
@@ -532,13 +539,15 @@ def run_placement(
     """Run the boot storm under one placement policy.
 
     ``policy=full`` attaches no coordinator — the run *is* the paper
-    baseline, and its tallies are the analytic full-replication ones.
+    baseline, and its plan tallies are the analytic full-replication ones.
     A partial policy's coordinator is built before the storm, over the
     fleet the config names (:func:`~repro.core.cluster.compute_name`),
     and attached to the Squirrel side, whose rig checks that fleet on
-    install; its tallies fill the ``placement`` block. ``zipf`` shapes the
-    tenant workload's popularity skew (both the arrival trace and the
-    declared popularity the policies place by).
+    install; its plan tallies (hoard, seeding, adoption spend) fill the
+    ``placement`` block. Under either policy the boot-time facts
+    (redirects, fallbacks, adoptions) are the rig's counters.
+    ``zipf`` shapes the tenant workload's popularity skew (both the
+    arrival trace and the declared popularity the policies place by).
     """
     config = StormConfig.from_params(
         nodes=nodes, vms_per_node=vms_per_node, seed=seed, zipf=zipf,

@@ -9,6 +9,12 @@ purposes :data:`~repro.placement.transport.SEED_PURPOSE` and
 :data:`~repro.placement.transport.PEER_REDIRECT_PURPOSE`, so boot-read
 accounting (Figure 18) and the glusterfs served-bytes tally are never
 double-counted.
+
+The coordinator keeps the plan, not the boot-time counts: how many boots
+were redirected, fell back to the origin or adopted is the boot
+outcomes' to say (:class:`~repro.core.squirrel.BootOutcome`), and the
+timed rig counts them as its ``placement_*`` facts. Only the untimed
+seeding rounds of registration are tallied here.
 """
 
 from __future__ import annotations
@@ -75,7 +81,8 @@ class PlacementSpec:
 
 @dataclass
 class PlacementCoordinator:
-    """Runtime placement state for one cluster."""
+    """Runtime placement state for one cluster: plan, directory, adoption
+    budget and seeding tallies."""
 
     spec: PlacementSpec
     policy: PlacementPolicy
@@ -86,12 +93,7 @@ class PlacementCoordinator:
     #: per-node logical bytes spent from the adoption budget
     _adopted_by_node: dict[str, int] = field(default_factory=dict)
 
-    # running tallies, surfaced via stats()
-    peer_redirects: int = 0
-    redirect_bytes: int = 0
-    origin_fallbacks: int = 0
-    adoptions: int = 0
-    adopted_bytes: int = 0
+    # registration-time seeding tallies, surfaced via stats()
     seed_rounds: int = 0
     seed_receiver_bytes: int = 0
     seed_origin_bytes: int = 0
@@ -137,13 +139,7 @@ class PlacementCoordinator:
             if cluster.node(name).online
         ]
         # holders sharing a replica (same hoard history) install once
-        apply_to_nodes(
-            getattr(cluster, "replicas", None),
-            online,
-            ("install", cache_file),
-            lambda pool: pool.dataset(CCVOLUME)
-            .write_file_virtual(cache_file, rows),
-        )
+        _install(cluster, online, cache_file, rows)
         result = seed_transfer(
             self.spec.transport,
             cluster.ledger,
@@ -164,7 +160,7 @@ class PlacementCoordinator:
             cluster.node(name) for name in self.directory.holders(image_id)
         ]
         apply_to_nodes(
-            getattr(cluster, "replicas", None),
+            cluster.replicas,
             holders,
             ("del", cache_file),
             lambda pool: pool.dataset(CCVOLUME).delete_file(cache_file),
@@ -187,14 +183,8 @@ class PlacementCoordinator:
         return self.directory.cache_bytes_of(image_id)
 
     def record_redirect(self, cluster, peer_name: str, reader: str, n_bytes: int) -> None:
-        """Ledger + tallies for one redirected boot (peer → reader)."""
+        """Charge one redirected boot (peer → reader) to the ledger."""
         cluster.ledger.record(peer_name, reader, n_bytes, PEER_REDIRECT_PURPOSE)
-        self.peer_redirects += 1
-        self.redirect_bytes += n_bytes
-
-    def record_origin_fallback(self) -> None:
-        """No live holder: the boot fell back to the glusterfs origin."""
-        self.origin_fallbacks += 1
 
     def maybe_adopt(self, cluster, image_id: int, node) -> bool:
         """Promote-on-miss: install the cache on ``node`` if budget allows.
@@ -215,18 +205,12 @@ class PlacementCoordinator:
         if rows is None:
             return False
         cache_file = cache_file_name(image_id)
-        apply_to_nodes(
-            getattr(cluster, "replicas", None),
-            [node],
-            ("install", cache_file),
-            lambda pool: pool.dataset(CCVOLUME)
-            .write_file_virtual(cache_file, rows),
+        _install(
+            cluster, [node], cache_file, rows,
             when=lambda pool: not pool.dataset(CCVOLUME).has_file(cache_file),
         )
         self.directory.adopt(node.name, image_id)
         self._adopted_by_node[node.name] = spent + size
-        self.adoptions += 1
-        self.adopted_bytes += size
         return True
 
     # -- offline propagation --------------------------------------------------------
@@ -247,14 +231,7 @@ class PlacementCoordinator:
             rows = self._rows.get(image_id)
             if rows is None:
                 continue
-            apply_to_nodes(
-                getattr(cluster, "replicas", None),
-                [node],
-                ("install", cache_file),
-                lambda pool, cache_file=cache_file, rows=rows: pool.dataset(
-                    CCVOLUME
-                ).write_file_virtual(cache_file, rows),
-            )
+            _install(cluster, [node], cache_file, rows)
             size = self.directory.cache_bytes_of(image_id)
             cluster.ledger.record(origin.name, node.name, size, SEED_PURPOSE)
             moved += size
@@ -264,17 +241,14 @@ class PlacementCoordinator:
     # -- reporting ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Canonical plain-type tally block for reports and renderers."""
+        """Canonical plain-type block of the plan's state for reports: hoard
+        and directory sizes, adoption-budget spend, seeding tallies."""
         return {
-            "adopted_bytes": self.adopted_bytes,
-            "adoptions": self.adoptions,
+            "adopted_bytes": sum(self._adopted_by_node.values()),
             "hoarded_bytes": self.directory.total_hoarded_bytes(),
             "hoarded_replicas": self.directory.total_replicas(),
             "images_tracked": len(self.directory.images()),
-            "origin_fallbacks": self.origin_fallbacks,
-            "peer_redirects": self.peer_redirects,
             "policy": self.spec.policy,
-            "redirect_bytes": self.redirect_bytes,
             "reseed_bytes": self.reseed_bytes,
             "seed_duration_s": self.seed_duration_s,
             "seed_origin_bytes": self.seed_origin_bytes,
@@ -283,6 +257,17 @@ class PlacementCoordinator:
             "seed_rounds": self.seed_rounds,
             "transport": self.spec.transport,
         }
+
+
+def _install(cluster, nodes, cache_file: str, rows: list, *, when=None) -> None:
+    """Write one cache's rows into ``nodes``' ccVolumes as ``cache_file``."""
+    apply_to_nodes(
+        cluster.replicas,
+        nodes,
+        ("install", cache_file),
+        lambda pool: pool.dataset(CCVOLUME).write_file_virtual(cache_file, rows),
+        when=when,
+    )
 
 
 def build_coordinator(

@@ -284,8 +284,10 @@ def boot_storm(
     ``attach`` is installed on the Squirrel side's rig only (the no-cache
     baseline is unaffected): a :class:`~repro.placement.PlacementCoordinator`
     hoards caches partially, a :class:`~repro.shard.ShardRouter` shards the
-    cVolume. The caller keeps the object and reads its tallies after the
-    run. Without one the run is the paper baseline.
+    cVolume. The caller keeps the object and reads its plan (a
+    coordinator's hoard and seeding tallies) after the run; what happened
+    at boot time is in the side's counters and metrics. Without one the
+    run is the paper baseline.
     """
     if config.n_nodes < 1 or config.vms_per_node < 1:
         raise ConfigError("storm needs at least one node and one VM")

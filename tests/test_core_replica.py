@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import IaaSCluster, Squirrel
 from repro.core.cluster import CCVOLUME
-from repro.core.replica import Replica, ReplicaStore, apply_to_nodes
+from repro.core.replica import Replica, ReplicaStore
 from repro.vmi import DatasetConfig, LazyImageCatalog, make_estimator
 from repro.zfs import ZPool
 
@@ -98,9 +98,8 @@ class TestReplicaStore:
         """Flyweight nodes read identically to naive one-pool-per-node."""
         store = ReplicaStore(blank_pool())
         shared = [FakeNode(store.acquire_blank()) for _ in range(3)]
+        # the oracle: every node owns its pool and applies each op itself
         private = [FakeNode(Replica(blank_pool())) for _ in range(3)]
-        for replica in (n.replica for n in private):
-            replica.refs = 1
         script = [
             (slice(None), ("w", "a")),
             (slice(0, 2), ("w", "b")),
@@ -109,7 +108,8 @@ class TestReplicaStore:
         ]
         for subset, (op, name) in script:
             store.apply(shared[subset], (op, name), write(name))
-            apply_to_nodes(None, private[subset], (op, name), write(name))
+            for node in private[subset]:
+                write(name)(node.pool)
         for s_node, p_node in zip(shared, private):
             s_vol, p_vol = (
                 n.pool.dataset(CCVOLUME) for n in (s_node, p_node)

@@ -4,8 +4,9 @@ Each case runs one small experiment and pins the sha256 of its canonical
 result (reports, Timeline summaries, metric instrument snapshots and
 sampled series together), so any refactor of the timed rig that changes
 a single recorded byte fails here. The cases cover the instrumented
-surfaces between them: placement redirects, adoptions and reseeds under a
-crash; full-replication placement and the one-shard storm (the two
+surfaces between them: placement redirects and adoptions under a crash (no
+storm reseeds a placement slice: the catalogue registers before the clock
+starts); full-replication placement and the one-shard storm (the two
 byte-identity anchors of the storm); the faulted storm; the diurnal day;
 the node-detail cap's ``_other``/``_fleet`` children, unsharded and
 (under a crash) sharded; registration churn under every fault kind
@@ -53,7 +54,7 @@ def _run(exp_id: str, **values):
 
 
 CASES = {
-    # 15 peer redirects and 15 adoptions at seed 0
+    # 12 peer redirects and 12 adoptions at seed 0
     "placement": (
         lambda: _run(
             "placement", policy="top_k", nodes=8, vms_per_node=4,

@@ -118,15 +118,17 @@ class TestPeerRedirect:
         assert outcome.peer in holders
         assert not outcome.cache_hit
         assert outcome.network_bytes == spec.cache_bytes
-        assert coord.peer_redirects == 1
-        assert coord.redirect_bytes == spec.cache_bytes
+        ledger = squirrel.cluster.ledger
+        assert (
+            ledger.bytes_into(reader, purpose=PEER_REDIRECT_PURPOSE)
+            == spec.cache_bytes
+        )
         # the redirect is not boot-read traffic and never touches a brick
         assert (
             squirrel.cluster.compute_ingress_bytes(purpose="boot-read")
             == before
         )
         gluster = squirrel.cluster.storage.gluster
-        ledger = squirrel.cluster.ledger
         assert ledger.bytes_into(reader) == ledger.bytes_into(
             reader, purpose=PEER_REDIRECT_PURPOSE
         )
@@ -156,8 +158,9 @@ class TestPeerRedirect:
         )
         outcome = squirrel.boot(spec.image_id, reader)
         assert outcome.source == "origin"
-        assert coord.origin_fallbacks == 1
-        assert coord.peer_redirects == 0
+        assert outcome.peer is None
+        ledger = squirrel.cluster.ledger
+        assert ledger.bytes_into(reader, purpose=PEER_REDIRECT_PURPOSE) == 0
         assert outcome.network_bytes > 0
         squirrel.cluster.storage.gluster.verify_served_accounting()
 
@@ -192,7 +195,9 @@ class TestAdoption:
         )
         outcome = squirrel.boot(spec.image_id, reader)
         assert not outcome.adopted
-        assert squirrel.placement.adoptions == 0
+        coord = squirrel.placement
+        assert not coord.directory.holds(reader, spec.image_id)
+        assert coord._adopted_by_node == {}
 
     def test_adoption_within_budget_makes_future_boots_local(self, dataset):
         placement_spec = PlacementSpec(
@@ -211,9 +216,9 @@ class TestAdoption:
         )
         first = squirrel.boot(spec.image_id, reader)
         assert first.adopted
-        assert coord.adoptions == 1
-        assert coord.adopted_bytes == spec.cache_bytes
         assert coord.directory.holds(reader, spec.image_id)
+        # one adoption, charged to the reader's budget
+        assert coord._adopted_by_node == {reader: spec.cache_bytes}
         second = squirrel.boot(spec.image_id, reader)
         assert second.cache_hit and second.source == "cache"
 
@@ -236,7 +241,9 @@ class TestAdoption:
         )
         assert squirrel.boot(spec0.image_id, reader).adopted
         assert not squirrel.boot(spec1.image_id, reader).adopted
-        assert coord.adoptions == 1
+        assert coord.directory.holds(reader, spec0.image_id)
+        assert not coord.directory.holds(reader, spec1.image_id)
+        assert coord._adopted_by_node == {reader: spec0.cache_bytes}
 
 
 class TestReseed:

@@ -14,6 +14,12 @@ from repro.workload import StormConfig, storm_arrivals
 SMALL = {"nodes": 8, "vms_per_node": 2}
 
 
+def _family_sum(side, name: str) -> float:
+    """Sum of one metric family's children in a side's metrics block."""
+    by_name = {f["name"]: f for f in side.metrics["instruments"]}
+    return sum(s["value"] for s in by_name[name]["samples"])
+
+
 class TestRegistration:
     def test_registered_with_params_and_metrics(self):
         exp = registry.get("placement")
@@ -89,21 +95,46 @@ class TestAdoptionAccounting:
         """The coordinator adopts before the fetch starts, so an adoption
         whose fetch a crash kills (the retry warm-reads the adopted cache)
         must still reach the rig's counter and Timeline. At these seeds
-        one adoption's fetch is killed."""
+        one adoption's fetch is killed. The coordinator's budget spend
+        (``adopted_bytes``) is the oracle: the rig's paper-scale adopted
+        bytes must be exactly that spend scaled up."""
         result = storm_timeline.run_placement(
             policy="top_k", nodes=8, vms_per_node=4, adopt_budget_mb=64,
             faults="crash:compute1@5+30", seed=seed,
         )
         side = result.report.squirrel
-        by_name = {f["name"]: f for f in side.metrics["instruments"]}
-        counted = sum(
-            s["value"]
-            for s in by_name["placement_adoptions_total"]["samples"]
-        )
+        counted = _family_sum(side, "placement_adoptions_total")
         adoptions = result.placement["adoptions"]
         assert adoptions > 0
         assert counted == adoptions
         assert side.summary["counters"]["adoptions"] == adoptions
+        spent = result.placement["adopted_bytes"]
+        assert spent > 0
+        assert _family_sum(side, "placement_adopted_bytes_total") == (
+            spent / result.config.scale
+        )
+
+
+class TestOriginFallback:
+    def test_rig_counts_fallbacks_when_every_holder_is_down(self):
+        """One replica per image and the whole fleet crashed at t=1 s: a
+        boot whose only holder is down falls back to the glusterfs origin,
+        through the timed rig's fallback branch."""
+        result = storm_timeline.run_placement(
+            policy="top_k", nodes=4, vms_per_node=4, top_k=2, replicas=1,
+            faults=",".join(f"crash:compute{i}@1+60" for i in range(4)),
+        )
+        side = result.report.squirrel
+        block = result.placement
+        assert block["origin_fallbacks"] > 0
+        assert block["origin_fallbacks"] == _family_sum(
+            side, "placement_origin_fallbacks_total"
+        )
+        assert block["peer_redirects"] == _family_sum(
+            side, "placement_peer_redirects_total"
+        )
+        # the redirect spans are counted apart from the record() sinks
+        assert block["peer_redirects"] == side.spans["placement.redirect"]["count"]
 
 
 class TestTracePopulation:
